@@ -8,8 +8,8 @@ that oracle.
 """
 
 from .constructors import convex_polygon, dual_cyclic, prism3, pstar
-from .faces import (Face, edge_graph, enumerate_vertices, f_vector,
-                    face_lattice, facet_adjacency_count, is_simple)
+from .faces import (Analysis, Face, analyze, edge_graph, enumerate_vertices,
+                    f_vector, face_lattice, facet_adjacency_count, is_simple)
 from .formulas import (fk_dual_cyclic, fk_pstar, gale_evenness_facet_count,
                        leading_terms, lemma41_bound, ratio_report,
                        thm42_bound, thm42_bound_literal)
@@ -22,7 +22,7 @@ from .model import (Constraint, HPolytope, LI2Profile, li2_profile,
 from .ratlin import affine_rank, solve_linear_system
 
 __all__ = [
-    "Constraint", "HPolytope", "LI2Profile", "Face",
+    "Constraint", "HPolytope", "LI2Profile", "Face", "Analysis", "analyze",
     "parse_hrep", "serialize_hrep", "li2_profile",
     "convex_polygon", "pstar", "dual_cyclic", "prism3",
     "enumerate_vertices", "face_lattice", "f_vector",

@@ -6,7 +6,8 @@ output goes to stdout, human-readable errors to stderr.
 
 Exit codes: 0 success (and, for verify, all checks pass), 1 a verification
 check failed, 2 usage error, 3 input error (infeasible, unbounded where
-boundedness is required, divisibility violation, size cap exceeded).
+boundedness is required, divisibility violation, size cap exceeded), 4
+internal error (a failed invariant, i.e. a bug; one line on stderr).
 
 JSON documents carry schema_version 1. Identical invocations produce
 byte-identical output once --no-timing drops the only nondeterministic
@@ -59,27 +60,23 @@ def _read_polytope(path: str) -> model.HPolytope:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _require_dim(args, expected: int | None) -> None:
-    if expected is not None and args.d is not None and args.d != expected:
-        raise UsageError(f"family {args.family!r} is {expected}-dimensional")
-
-
 class UsageError(Exception):
     pass
 
 
-def cmd_construct(args) -> int:
-    if args.family in ("pstar", "dualcyclic") and args.d is None:
+def _build_instance(args) -> model.HPolytope:
+    """The constructor instance named by args.family, args.n and args.d."""
+    fixed = {"prism3": 3, "polygon": 2}.get(args.family)
+    if fixed is None and args.d is None:
         raise UsageError(f"family {args.family!r} requires --d")
-    _require_dim(args, 3 if args.family == "prism3" else 2 if args.family == "polygon" else None)
-    if args.family == "pstar":
-        p = constructors.pstar(args.n, args.d)
-    elif args.family == "dualcyclic":
-        p = constructors.dual_cyclic(args.n, args.d)
-    elif args.family == "prism3":
-        p = constructors.prism3(args.n)
-    else:
-        p = constructors.convex_polygon(args.n)
+    if fixed is not None and args.d is not None and args.d != fixed:
+        raise UsageError(f"family {args.family!r} is {fixed}-dimensional")
+    return constructors.from_family(
+        model.FamilyTag(args.family, args.n, fixed or args.d))
+
+
+def cmd_construct(args) -> int:
+    p = _build_instance(args)
     text = model.serialize_hrep(p)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -99,7 +96,7 @@ def cmd_fvector(args) -> int:
                 "('# family: NAME n=.. d=..') in the input file")
         f = _formula_f_vector(p.family)
     else:
-        f = faces.f_vector(p, args.max_subsets)
+        f = faces.Analysis(p, args.max_subsets).f_vector
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "fvector",
@@ -118,8 +115,9 @@ def cmd_fvector(args) -> int:
 def cmd_hvector(args) -> int:
     elapsed = _timer()
     p = _read_polytope(args.infile)
+    analysis = faces.Analysis(p)
     seeds = [args.seed + i for i in range(args.repeat)]
-    per_seed = [hvector.indegree_hvector(p, s) for s in seeds]
+    per_seed = [hvector.indegree_hvector(analysis, s) for s in seeds]
     agree = len(set(per_seed)) == 1
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -137,36 +135,26 @@ def cmd_hvector(args) -> int:
     return 0
 
 
-def _verify_instance(family: str, n: int, d: int | None):
-    if family == "pstar":
-        if d is None:
-            raise UsageError("verify pstar requires --d")
-        return constructors.pstar(n, d)
-    if family == "dualcyclic":
-        if d is None:
-            raise UsageError("verify dualcyclic requires --d")
-        return constructors.dual_cyclic(n, d)
-    if d is not None and d != 3:
-        raise UsageError("prism3 is 3-dimensional")
-    return constructors.prism3(n)
-
-
 def cmd_verify(args) -> int:
     total = _timer()
     timing: dict[str, float] = {}
     notes: list[str] = []
-    p = _verify_instance(args.family, args.n, args.d)
+    p = _build_instance(args)
+    analysis = faces.Analysis(p, args.max_subsets)
     n, d = p.n, p.dim
 
     stage = _timer()
-    f_enum = faces.f_vector(p, args.max_subsets)
+    bounded = analysis.bounded
+    timing["bounded"] = stage()
+
+    stage = _timer()
+    f_enum = analysis.f_vector
     timing["enumerate"] = stage()
 
     stage = _timer()
     f_formula = _formula_f_vector(p.family)
     timing["formula"] = stage()
 
-    bounded = geometry.is_bounded(p)
     profile = model.li2_profile(p)
     h_transform = hvector.h_from_f(f_enum)
 
@@ -184,7 +172,7 @@ def cmd_verify(args) -> int:
     stage = _timer()
     h_indegree = None
     if bounded:
-        per_seed = [hvector.indegree_hvector(p, s) for s in VERIFY_SEEDS]
+        per_seed = [hvector.indegree_hvector(analysis, s) for s in VERIFY_SEEDS]
         h_indegree = per_seed[0]
         checks["h_independence"] = (len(set(per_seed)) == 1
                                     and per_seed[0] == h_transform)
@@ -193,25 +181,24 @@ def cmd_verify(args) -> int:
         notes.append("h_independence: skipped, orientation needs a bounded polytope")
     timing["hvector"] = stage()
 
-    ubt = hvector.strengthened_ubt_check(p, n, args.max_subsets)
-    checks["ubt"] = ubt.satisfied
+    stage = _timer()
+    checks["ubt"] = hvector.strengthened_ubt_check(analysis, n).satisfied
+    timing["ubt"] = stage()
 
+    stage = _timer()
     if profile.is_li2 and d >= 4 and bounded:
         ridge = formulas.ridge_bound_report(n, profile.n_prime, d,
                                             observed=f_enum[d - 2])
         checks["lemma41"] = ridge.satisfied
         if ridge.note:
             notes.append(f"lemma41: {ridge.note}")
-    else:
-        checks["lemma41"] = True
-        notes.append("lemma41: skipped, needs a bounded two-variable system with d >= 4")
-
-    if profile.is_li2 and d >= 4 and bounded:
         checks["thm42_strict"] = all(
             f_enum[k] < formulas.fk_dual_cyclic(n, d, k) for k in range(d - 1))
     else:
-        checks["thm42_strict"] = True
+        checks["lemma41"] = checks["thm42_strict"] = True
+        notes.append("lemma41: skipped, needs a bounded two-variable system with d >= 4")
         notes.append("thm42_strict: skipped, needs a bounded two-variable system with d >= 4")
+    timing["bounds"] = stage()
 
     overall = all(checks[name] for name in CHECK_NAMES)
     timing["total"] = total()
@@ -428,6 +415,10 @@ def run(argv) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        message = " ".join(str(exc).split()) or "assertion failed"
+        print(f"internal error: {message}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

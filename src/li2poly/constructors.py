@@ -10,25 +10,11 @@ dense maximizer they are compared against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisibilityError
+from .formulas import pstar_polygon_size
 from .model import Constraint, FamilyTag, HPolytope
 from .ratlin import ONE, ZERO, Vec
-
-
-@dataclass(frozen=True)
-class PolygonSpec:
-    """An m-gon to be placed on one pair of ambient coordinates."""
-    m: int
-    variable_pair: tuple[int, int]
-
-    def __post_init__(self):
-        if self.m < 3:
-            raise ValueError("a polygon needs at least 3 vertices")
-        if not self.variable_pair[0] < self.variable_pair[1]:
-            raise ValueError("variable pair must be ordered")
 
 
 def polygon_vertices(m: int) -> list[Vec]:
@@ -41,7 +27,7 @@ def polygon_vertices(m: int) -> list[Vec]:
     counterclockwise.
     """
     if m < 3:
-        raise ValueError("a polygon needs at least 3 vertices")
+        raise ValueError(f"m = {m}: a polygon needs at least 3 vertices")
     points: list[Vec] = []
     for t in range(-((m - 1) // 2), m // 2):
         den = Fraction(1 + t * t)
@@ -68,23 +54,20 @@ def _polygon_edges(vertices: list[Vec]) -> list[tuple[Vec, Fraction]]:
 
 def convex_polygon(m: int) -> HPolytope:
     """A convex m-gon in the plane: m constraints, m vertices, origin inside."""
-    if m < 3:
-        raise ValueError(f"m = {m}: a polygon needs at least 3 vertices")
     edges = _polygon_edges(polygon_vertices(m))
     constraints = tuple(
         Constraint(a, b, label=f"e{j}") for j, (a, b) in enumerate(edges))
     return HPolytope(2, constraints, FamilyTag("polygon", m, 2))
 
 
-def embedded_polygon_rows(spec: PolygonSpec, dim: int) -> list[Constraint]:
-    """The m-gon's rows placed on the given coordinate pair of R^dim."""
-    lo, hi = spec.variable_pair
-    pair_index = lo // 2
+def embedded_polygon_rows(m: int, pair_index: int, dim: int) -> list[Constraint]:
+    """The m-gon's rows placed on coordinates 2*pair_index, 2*pair_index+1."""
+    lo = 2 * pair_index
     rows = []
-    for j, (a, b) in enumerate(_polygon_edges(polygon_vertices(spec.m))):
+    for j, (a, b) in enumerate(_polygon_edges(polygon_vertices(m))):
         coeffs = [ZERO] * dim
         coeffs[lo] = a[0]
-        coeffs[hi] = a[1]
+        coeffs[lo + 1] = a[1]
         rows.append(Constraint(tuple(coeffs), b, label=f"p{pair_index}e{j}"))
     return rows
 
@@ -98,34 +81,14 @@ def pstar(n: int, d: int) -> HPolytope:
     rows and adds the single half-space x_d >= 0; the result is a pointed
     but unbounded polyhedron, kept verbatim rather than capped.
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    half = d // 2
-    if d % 2 == 0:
-        if n % half != 0:
-            raise DivisibilityError(
-                f"floor(d/2) = {half} must be a divisor of n = {n} when d is even")
-        m = n // half
-        if m < 3:
-            raise DivisibilityError(
-                f"n/(d/2) = {m} < 3: each coordinate pair needs a polygon")
-        rows: list[Constraint] = []
-        for i in range(half):
-            rows.extend(embedded_polygon_rows(PolygonSpec(m, (2 * i, 2 * i + 1)), d))
-        return HPolytope(d, tuple(rows), FamilyTag("pstar", n, d))
-    if (n - 1) % half != 0:
-        raise DivisibilityError(
-            f"floor(d/2) = {half} must be a divisor of n-1 = {n - 1} when d is odd")
-    m = (n - 1) // half
-    if m < 3:
-        raise DivisibilityError(
-            f"(n-1)/floor(d/2) = {m} < 3: each coordinate pair needs a polygon")
-    rows = []
-    for i in range(half):
-        rows.extend(embedded_polygon_rows(PolygonSpec(m, (2 * i, 2 * i + 1)), d))
-    last = [ZERO] * d
-    last[d - 1] = -ONE
-    rows.append(Constraint(tuple(last), ZERO, label="xlast_lo"))
+    m = pstar_polygon_size(n, d)
+    rows: list[Constraint] = []
+    for i in range(d // 2):
+        rows.extend(embedded_polygon_rows(m, i, d))
+    if d % 2:
+        last = [ZERO] * d
+        last[d - 1] = -ONE
+        rows.append(Constraint(tuple(last), ZERO, label="xlast_lo"))
     return HPolytope(d, tuple(rows), FamilyTag("pstar", n, d))
 
 

@@ -8,12 +8,18 @@ its tight set is a subset of some vertex's tight set, so scanning subsets
 of vertex tight sets (up to size d) and closing each one via
 relative_interior_point finds every face exactly once, including the
 unbounded ones.
+
+The query functions below and in hvector take an HPolytope or an
+Analysis; sharing one Analysis enumerates the polytope once. A work
+budget other than the default caps is given when the Analysis is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from math import comb
 
 from .errors import (CapExceededError, InfeasibleError, NonPointedError,
                      RedundantInputError, UnboundedInputError)
@@ -89,22 +95,90 @@ def recession_ray_candidates(p: HPolytope) -> list[Vec]:
     return sorted(found)
 
 
-def face_lattice(p: HPolytope, max_subsets: int | None = None) -> list[Face]:
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """The enumeration results of one polytope under one work budget.
+
+    Each property is computed on first access and cached on this object
+    only; cached values are shared, so callers must not mutate them. The
+    caps are checked here, before any work: n <= 24, d <= 7 by default, or
+    else C(n, d) vertex subsystems and the lattice's candidate tight sets
+    must each fit in the explicit max_subsets budget.
+    """
+    p: HPolytope
+    max_subsets: int | None = None
+
+    def __post_init__(self):
+        n, d = self.p.n, self.p.dim
+        scan = f"the vertex scan would solve C({n},{d}) = {comb(n, d)} subsystems"
+        if self.max_subsets is None:
+            if n > DEFAULT_N_CAP or d > DEFAULT_D_CAP:
+                raise CapExceededError(
+                    f"n={n}, d={d} exceeds the default caps n<={DEFAULT_N_CAP}, "
+                    f"d<={DEFAULT_D_CAP} ({scan}); pass max_subsets to override")
+        elif comb(n, d) > self.max_subsets:
+            raise CapExceededError(f"{scan}, over max_subsets={self.max_subsets}")
+
+    @cached_property
+    def vertices(self) -> list[tuple[Vec, frozenset[int]]]:
+        return enumerate_vertices(self.p)
+
+    @cached_property
+    def bounded(self) -> bool:
+        return is_bounded(self.p)
+
+    @cached_property
+    def rays(self) -> list[Vec]:
+        """Recession ray candidates; none for a bounded polytope."""
+        return [] if self.bounded else recession_ray_candidates(self.p)
+
+    @cached_property
+    def lattice(self) -> list[Face]:
+        return face_lattice(self)
+
+    @cached_property
+    def f_vector(self) -> FVector:
+        counts = [0] * (self.p.dim + 1)
+        for face in self.lattice:
+            counts[face.dim] += 1
+        return tuple(counts)
+
+    @cached_property
+    def edge_graph(self) -> tuple[list[Vec], list[tuple[int, int]]]:
+        if not self.bounded:
+            raise UnboundedInputError("edge graph requires a bounded polytope")
+        zero_faces = sorted((f for f in self.lattice if f.dim == 0),
+                            key=lambda f: f.witness)
+        points = [f.witness for f in zero_faces]
+        vertex_of_tight = {f.tight_set: i for i, f in enumerate(zero_faces)}
+        edges = []
+        for f in self.lattice:
+            if f.dim == 1:
+                ends = [i for t, i in vertex_of_tight.items() if f.tight_set <= t]
+                if len(ends) != 2:
+                    raise AssertionError("bounded 1-face without exactly two vertices")
+                edges.append((min(ends), max(ends)))
+        return points, sorted(edges)
+
+
+def analyze(x: HPolytope | Analysis) -> Analysis:
+    """x itself when it is an Analysis, else a new Analysis of x."""
+    return x if isinstance(x, Analysis) else Analysis(x)
+
+
+def face_lattice(a: Analysis) -> list[Face]:
     """Every nonempty face of a feasible pointed polyhedron, P itself included.
 
     Candidate tight sets are the subsets (of size at most d) of vertex
     tight sets; each is closed and witnessed through
     relative_interior_point and deduplicated by closed tight set. Faces are
-    returned sorted by (dim, tight_set). Default size caps n <= 24, d <= 7
-    apply unless max_subsets overrides them with an explicit candidate
-    budget.
+    returned sorted by (dim, tight_set). Vertices, boundedness and rays come
+    from the analysis, which also applies the caps. This is the builder
+    behind Analysis.lattice: each call builds a new lattice, so read
+    analyze(p).lattice for the cached one.
     """
-    d = p.dim
-    if max_subsets is None and (p.n > DEFAULT_N_CAP or d > DEFAULT_D_CAP):
-        raise CapExceededError(
-            f"n={p.n}, d={d} exceeds the default caps n<={DEFAULT_N_CAP}, "
-            f"d<={DEFAULT_D_CAP}; pass max_subsets to override")
-    vertices = enumerate_vertices(p)
+    p, d = a.p, a.p.dim
+    vertices = a.vertices
     if not vertices:
         raise InfeasibleError("no vertices: polyhedron is empty")
 
@@ -114,11 +188,9 @@ def face_lattice(p: HPolytope, max_subsets: int | None = None) -> list[Face]:
         for size in range(min(d, len(base)) + 1):
             for sub in combinations(base, size):
                 candidates.add(frozenset(sub))
-                if max_subsets is not None and len(candidates) > max_subsets:
+                if a.max_subsets is not None and len(candidates) > a.max_subsets:
                     raise CapExceededError(
-                        f"candidate tight sets exceed max_subsets={max_subsets}")
-
-    rays = [] if is_bounded(p) else recession_ray_candidates(p)
+                        f"candidate tight sets exceed max_subsets={a.max_subsets}")
 
     faces: dict[frozenset[int], Face] = {}
     for cand in sorted(candidates, key=lambda s: (len(s), sorted(s))):
@@ -131,71 +203,49 @@ def face_lattice(p: HPolytope, max_subsets: int | None = None) -> list[Face]:
         tight_rows = [p.constraints[i].coeffs for i in sorted(closed)]
         fdim = d - (rank(tuple(tight_rows)) if tight_rows else 0)
         unbounded = any(
-            all(dot(p.constraints[i].coeffs, y) == 0 for i in closed) for y in rays)
+            all(dot(p.constraints[i].coeffs, y) == 0 for i in closed) for y in a.rays)
         vertex_ids = None if unbounded else frozenset(
             vid for vid, (_, vt) in enumerate(vertices) if closed <= vt)
         faces[closed] = Face(closed, fdim, witness, vertex_ids)
     return sorted(faces.values(), key=lambda f: (f.dim, sorted(f.tight_set)))
 
 
-def f_vector(p: HPolytope, max_subsets: int | None = None) -> FVector:
+def f_vector(x: HPolytope | Analysis) -> FVector:
     """Counts (f_0, ..., f_d) of k-dimensional faces, by brute force."""
-    counts = [0] * (p.dim + 1)
-    for face in face_lattice(p, max_subsets):
-        counts[face.dim] += 1
-    return tuple(counts)
+    return analyze(x).f_vector
 
 
-def f_vector_from_lattice(p: HPolytope, lattice: list[Face]) -> FVector:
-    counts = [0] * (p.dim + 1)
-    for face in lattice:
-        counts[face.dim] += 1
-    return tuple(counts)
-
-
-def is_simple(p: HPolytope) -> bool:
+def is_simple(x: HPolytope | Analysis) -> bool:
     """True iff every vertex lies on exactly d constraints; bounded input."""
-    if not is_bounded(p):
+    a = analyze(x)
+    if not a.bounded:
         raise UnboundedInputError("simplicity test requires a bounded polytope")
-    return all(len(tight) == p.dim for _, tight in enumerate_vertices(p))
+    return all(len(tight) == a.p.dim for _, tight in a.vertices)
 
 
-def facet_adjacency_count(p: HPolytope, max_subsets: int | None = None) -> int:
+def facet_adjacency_count(x: HPolytope | Analysis) -> int:
     """Number of unordered facet pairs meeting in a (d-2)-face.
 
     Requires a bounded nonredundant input, where rows and facets are in
     bijection: the count is the number of pairs {i, j} whose joint face
     closes to dimension d-2. Equals f_{d-2} for simple polytopes.
     """
-    if not is_bounded(p):
+    a = analyze(x)
+    if not a.bounded:
         raise UnboundedInputError("facet adjacency requires a bounded polytope")
-    redundant = redundant_constraints(p)
+    redundant = redundant_constraints(a.p)
     if redundant:
         raise RedundantInputError(
             f"rows {sorted(redundant)} are redundant; adjacency counts need "
             "a nonredundant system")
     count = 0
-    for face in face_lattice(p, max_subsets):
-        if face.dim == p.dim - 2:
+    for face in a.lattice:
+        if face.dim == a.p.dim - 2:
             t = len(face.tight_set)
             count += t * (t - 1) // 2
     return count
 
 
-def edge_graph(p: HPolytope, max_subsets: int | None = None
-               ) -> tuple[list[Vec], list[tuple[int, int]]]:
+def edge_graph(x: HPolytope | Analysis) -> tuple[list[Vec], list[tuple[int, int]]]:
     """Vertices and undirected edges (as index pairs) of a bounded polytope."""
-    if not is_bounded(p):
-        raise UnboundedInputError("edge graph requires a bounded polytope")
-    lattice = face_lattice(p, max_subsets)
-    zero_faces = sorted((f for f in lattice if f.dim == 0), key=lambda f: f.witness)
-    points = [f.witness for f in zero_faces]
-    vertex_of_tight = {f.tight_set: i for i, f in enumerate(zero_faces)}
-    edges = []
-    for f in lattice:
-        if f.dim == 1:
-            ends = [i for t, i in vertex_of_tight.items() if f.tight_set <= t]
-            if len(ends) != 2:
-                raise AssertionError("bounded 1-face without exactly two vertices")
-            edges.append((min(ends), max(ends)))
-    return points, sorted(edges)
+    return analyze(x).edge_graph

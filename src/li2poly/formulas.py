@@ -52,8 +52,12 @@ def dual_cyclic_f_vector(n: int, d: int) -> tuple[int, ...]:
     return tuple(fk_dual_cyclic(n, d, k) for k in range(d + 1))
 
 
-def _check_pstar_params(n: int, d: int) -> int:
-    """Validate the divisibility assumptions; returns the polygon size."""
+def pstar_polygon_size(n: int, d: int) -> int:
+    """Sides of each polygon factor of P*(n, d), after checking divisibility.
+
+    Even d needs d/2 to divide n, odd d needs floor(d/2) to divide n-1 (the
+    last row is the half-space x_d >= 0), and each factor needs 3 sides.
+    """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     half = d // 2
@@ -68,7 +72,8 @@ def _check_pstar_params(n: int, d: int) -> int:
                 f"floor(d/2) = {half} must be a divisor of n-1 = {n - 1} when d is odd")
         m = (n - 1) // half
     if m < 3:
-        raise DivisibilityError(f"polygon size {m} < 3")
+        raise DivisibilityError(
+            f"polygon size {m} < 3: each coordinate pair needs a polygon")
     return m
 
 
@@ -87,7 +92,7 @@ def fk_pstar(n: int, d: int, k: int) -> int:
     """
     if not (0 <= k <= d):
         raise ValueError(f"need 0 <= k <= d, got d={d} k={k}")
-    m = _check_pstar_params(n, d)
+    m = pstar_polygon_size(n, d)
     if d % 2 == 0:
         half = d // 2
         total = 0

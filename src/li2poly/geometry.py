@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleError, UnboundedInputError
 from .model import HPolytope
-from .ratlin import ONE, ZERO, Vec, dot, rank, solve_affine, vec_add, vec_scale
+from .ratlin import ONE, ZERO, Vec, dot, solve_affine, vec_add, vec_scale
 from .simplex import OPTIMAL, UNBOUNDED, max_min_slack, solve_lp_max
 
 
@@ -144,8 +144,3 @@ def is_full_dimensional(p: HPolytope) -> bool:
         return True
     value, _ = max_min_slack(p.rows(), p.rhs(), p.dim)
     return value > 0
-
-
-def lineality_is_zero(p: HPolytope) -> bool:
-    """True iff {y : Ay = 0} = {0}, i.e. the polyhedron is pointed when nonempty."""
-    return rank(tuple(p.rows())) == p.dim

@@ -18,9 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import GenericObjectiveError, NotSimpleError
-from .faces import edge_graph, enumerate_vertices, f_vector
+from .faces import Analysis, analyze
 from .formulas import binom, dual_cyclic_f_vector
-from .geometry import is_bounded
 from .model import HPolytope
 from .ratlin import Vec, dot
 
@@ -68,36 +67,39 @@ def orient_edges(points: list[Vec], edges: list[tuple[int, int]], seed: int
         f"no tie-free objective within {_REDRAW_LIMIT} redraws")
 
 
-def indegree_hvector(p: HPolytope, seed: int) -> HVector:
+def indegree_hvector(x: HPolytope | Analysis, seed: int) -> HVector:
     """Histogram of vertex indegrees under a seeded generic objective.
 
     Requires a bounded simple polytope; the histogram has d+1 bins and is
     the same for every generic objective.
     """
-    vertices = enumerate_vertices(p)
-    if not is_bounded(p):
+    a = analyze(x)
+    vertices = a.vertices
+    if not a.bounded:
         raise NotSimpleError("indegree histogram requires a bounded polytope")
-    if any(len(tight) != p.dim for _, tight in vertices):
+    if any(len(tight) != a.p.dim for _, tight in vertices):
         raise NotSimpleError(
             "indegree histogram requires a simple polytope "
             "(every vertex on exactly d rows)")
-    points, edges = edge_graph(p)
+    points, edges = a.edge_graph
     _, directed = orient_edges(points, edges, seed)
     indeg = [0] * len(points)
     for _, head in directed:
         indeg[head] += 1
-    counts = [0] * (p.dim + 1)
+    counts = [0] * (a.p.dim + 1)
     for item in indeg:
         counts[item] += 1
     return tuple(counts)
 
 
-def objective_independence_check(p: HPolytope, seeds: Sequence[int]) -> bool:
+def objective_independence_check(x: HPolytope | Analysis,
+                                 seeds: Sequence[int]) -> bool:
     """True iff the indegree histogram agrees across seeds and with h_from_f."""
-    histograms = {indegree_hvector(p, s) for s in seeds}
+    a = analyze(x)
+    histograms = {indegree_hvector(a, s) for s in seeds}
     if len(histograms) != 1:
         return False
-    return histograms.pop() == h_from_f(f_vector(p))
+    return histograms.pop() == h_from_f(a.f_vector)
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,7 @@ class UbtComparison:
     satisfied: bool
 
 
-def strengthened_ubt_check(p: HPolytope, n: int,
-                           max_subsets: int | None = None) -> UbtComparison:
+def strengthened_ubt_check(x: HPolytope | Analysis, n: int) -> UbtComparison:
     """Compare h of a simple n-row polytope against the dual cyclic h.
 
     Both sides come from the f-to-h transform: the right side from the
@@ -125,10 +126,11 @@ def strengthened_ubt_check(p: HPolytope, n: int,
     in the vertex sense (every vertex on exactly d rows), which also covers
     pointed unbounded inputs, where face counts include unbounded faces.
     """
-    if any(len(tight) != p.dim for _, tight in enumerate_vertices(p)):
+    a = analyze(x)
+    if any(len(tight) != a.p.dim for _, tight in a.vertices):
         raise NotSimpleError("the h comparison assumes a simple polytope")
-    h_p = h_from_f(f_vector(p, max_subsets))
-    h_c = h_from_f(dual_cyclic_f_vector(n, p.dim))
+    h_p = h_from_f(a.f_vector)
+    h_c = h_from_f(dual_cyclic_f_vector(n, a.p.dim))
     entries = tuple(
-        UbtEntry(i, a, b, a <= b) for i, (a, b) in enumerate(zip(h_p, h_c)))
+        UbtEntry(i, hp, hc, hp <= hc) for i, (hp, hc) in enumerate(zip(h_p, h_c)))
     return UbtComparison(entries, all(e.ok for e in entries))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import HRepParseError
-from .ratlin import Vec, dot, vec
+from .ratlin import Vec, dot
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 _FAMILY_RE = re.compile(r"^#\s*family:\s*(\w+)\s+n=(\d+)\s+d=(\d+)\s*$")
@@ -54,10 +54,6 @@ class Constraint:
 
     def holds(self, x: Vec) -> bool:
         return dot(self.coeffs, x) <= self.rhs
-
-
-def make_constraint(coeffs, rhs, label: str | None = None) -> Constraint:
-    return Constraint(vec(coeffs), Fraction(rhs), label)
 
 
 @dataclass(frozen=True)
@@ -184,10 +180,6 @@ def parse_hrep(text: str | bytes) -> HPolytope:
     return HPolytope(d, tuple(constraints), family)
 
 
-def _fmt(q: Fraction) -> str:
-    return str(q)  # Fraction renders lowest terms, "3" or "-1/2"
-
-
 def serialize_hrep(p: HPolytope) -> str:
     """Canonical text form: lowest-terms rationals, one constraint per line."""
     lines = []
@@ -195,5 +187,6 @@ def serialize_hrep(p: HPolytope) -> str:
         lines.append(p.family.comment())
     lines.append(f"{p.n} {p.dim}")
     for c in p.constraints:
-        lines.append(" ".join([_fmt(a) for a in c.coeffs] + [_fmt(c.rhs)]))
+        # Fraction renders lowest terms, "3" or "-1/2"
+        lines.append(" ".join([str(a) for a in c.coeffs] + [str(c.rhs)]))
     return "\n".join(lines) + "\n"

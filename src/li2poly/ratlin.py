@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
@@ -52,14 +51,6 @@ def vec_scale(u: Vec, s: Fraction) -> Vec:
 
 def matvec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
-
-
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
-
-
-def unit_vec(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def _row_reduce(rows: list[list[Fraction]]) -> list[int]:

@@ -45,14 +45,13 @@ def cached_instance(family: str, n: int, d: int) -> model.HPolytope:
 
 
 @cache
-def cached_lattice(family: str, n: int, d: int) -> list[faces.Face]:
-    return faces.face_lattice(cached_instance(family, n, d))
+def cached_analysis(family: str, n: int, d: int) -> faces.Analysis:
+    """One shared Analysis per instance: its lattice is built at most once."""
+    return faces.Analysis(cached_instance(family, n, d))
 
 
-@cache
 def cached_f_vector(family: str, n: int, d: int) -> tuple[int, ...]:
-    p = cached_instance(family, n, d)
-    return faces.f_vector_from_lattice(p, cached_lattice(family, n, d))
+    return cached_analysis(family, n, d).f_vector
 
 
 @pytest.fixture

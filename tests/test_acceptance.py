@@ -20,7 +20,8 @@ import time
 from fractions import Fraction
 from math import comb
 
-from conftest import cached_f_vector, cached_instance, unit_square
+from conftest import (cached_analysis, cached_f_vector, cached_instance,
+                      unit_square)
 from li2poly import cli, constructors, faces, formulas, hvector
 from li2poly.errors import RedundantInputError
 from li2poly.model import HPolytope
@@ -67,7 +68,7 @@ def test_criterion_4_h_machinery():
                   for _ in range(rng.randrange(1, 9)))
         ok &= hvector.h_from_f(hvector.f_from_h(v)) == v
         ok &= hvector.f_from_h(hvector.h_from_f(v)) == v
-    p = cached_instance("pstar", 12, 6)
+    p = cached_analysis("pstar", 12, 6)
     expected = (1, 6, 15, 20, 15, 6, 1)
     for seed in (0, 1, 2):
         ok &= hvector.indegree_hvector(p, seed) == expected

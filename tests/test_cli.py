@@ -1,5 +1,6 @@
 """Command line behavior: output schemas, exit codes, determinism."""
 
+import importlib
 import json
 
 import pytest
@@ -107,6 +108,17 @@ def test_verify_timing_present_by_default(capsys):
     assert "timing_ms" in doc and "total" in doc["timing_ms"]
 
 
+def test_verify_times_every_stage(capsys):
+    code, doc = run_json(capsys, ["verify", "pstar", "--n", "8", "--d", "4",
+                                  "--json"])
+    assert code == 0
+    timing = doc["timing_ms"]
+    assert list(timing) == ["bounded", "enumerate", "formula", "hvector", "ubt",
+                            "bounds", "total"]
+    assert sum(ms for stage, ms in timing.items() if stage != "total") \
+        <= timing["total"]
+
+
 def test_verify_byte_identical_with_no_timing(capsys):
     argv = ["verify", "dualcyclic", "--n", "7", "--d", "3", "--json", "--no-timing"]
     assert run(argv) == 0
@@ -190,3 +202,21 @@ def test_verify_reports_failed_separation_at_triangle_factors(capsys):
     assert doc["checks"]["thm42_strict"] is False
     assert doc["checks"]["oracle_match"] is True
     assert doc["pass"] is False
+
+
+@pytest.mark.parametrize("module, attr", [
+    ("geometry", "solve_lp_max"),      # simplex, as geometry calls it
+    ("faces", "is_bounded"),           # geometry, as faces calls it
+    ("faces", "enumerate_vertices"),
+    ("formulas", "fk_dual_cyclic"),
+])
+def test_internal_error_exits_4(monkeypatch, capsys, module, attr):
+    def broken(*args, **kwargs):
+        raise AssertionError(f"invariant broken in {module}\nsecond line")
+
+    monkeypatch.setattr(importlib.import_module(f"li2poly.{module}"), attr, broken)
+    assert run(["verify", "prism3", "--n", "6", "--json", "--no-timing"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"internal error: invariant broken in {module} "
+                            "second line\n")

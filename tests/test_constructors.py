@@ -160,6 +160,6 @@ def test_odd_pstar_every_row_supports_a_facet():
     # Nonredundancy for the unbounded odd case (the LP-based scan requires
     # boundedness): every row must appear alone as a facet tight set.
     p = constructors.pstar(7, 3)
-    facet_rows = {min(f.tight_set) for f in faces.face_lattice(p)
+    facet_rows = {min(f.tight_set) for f in faces.Analysis(p).lattice
                   if f.dim == p.dim - 1 and len(f.tight_set) == 1}
     assert facet_rows == set(range(p.n))

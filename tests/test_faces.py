@@ -26,7 +26,7 @@ def test_non_pointed_rejected():
 
 
 def test_face_dims_match_tight_ranks(square):
-    for face in faces.face_lattice(square):
+    for face in faces.Analysis(square).lattice:
         assert 0 <= face.dim <= 2
         if face.dim == 2:
             assert face.tight_set == frozenset()
@@ -57,7 +57,7 @@ def test_pstar_13_7_includes_unbounded_faces():
 
 def test_unbounded_faces_have_no_vertex_ids():
     p = constructors.pstar(7, 3)
-    lattice = faces.face_lattice(p)
+    lattice = faces.Analysis(p).lattice
     xlast_row = next(i for i, c in enumerate(p.constraints)
                      if c.label == "xlast_lo")
     for face in lattice:
@@ -136,18 +136,25 @@ def test_f_vector_invariant_under_row_permutation():
 
 def test_caps_reject_oversized_input():
     big = constructors.dual_cyclic(25, 2)
-    with pytest.raises(CapExceededError):
-        faces.face_lattice(big)
+    with pytest.raises(CapExceededError, match="default caps"):
+        faces.Analysis(big)
     # explicit budget overrides the n-cap
-    assert faces.f_vector(big, max_subsets=10 ** 6) == (25, 25, 1)
-    with pytest.raises(CapExceededError):
-        faces.face_lattice(big, max_subsets=10)
+    assert faces.f_vector(faces.Analysis(big, max_subsets=10 ** 6)) == (25, 25, 1)
+    with pytest.raises(CapExceededError, match=r"C\(25,2\) = 300 subsystems"):
+        faces.Analysis(big, max_subsets=10)
+    # The 3-cube fits its C(6,3) = 20 vertex subsystems into a budget of 20,
+    # but its lattice has 27 candidate tight sets (1 + 6 + 12 + 8).
+    cube = parse_hrep("6 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n"
+                      "-1 0 0 0\n0 -1 0 0\n0 0 -1 0")
+    assert faces.f_vector(faces.Analysis(cube, max_subsets=27)) == (8, 12, 6, 1)
+    with pytest.raises(CapExceededError, match="candidate tight sets exceed"):
+        faces.Analysis(cube, max_subsets=20).lattice
 
 
 def test_duplicate_rows_do_not_change_face_counts(square):
     dup = HPolytope(2, square.constraints + (square.constraints[0],))
     assert faces.f_vector(dup) == (4, 4, 1)
-    lattice = faces.face_lattice(dup)
+    lattice = faces.Analysis(dup).lattice
     right_edge = next(f for f in lattice if f.dim == 1 and 0 in f.tight_set)
     assert right_edge.tight_set == frozenset({0, 4})  # both copies tight
 
@@ -156,7 +163,7 @@ def test_lower_dimensional_polytope():
     # The segment x = 1, 0 <= y <= 1 in the plane: implicit equality rows.
     p = parse_hrep("4 2\n1 0 1\n-1 0 -1\n0 1 1\n0 -1 0")
     assert faces.f_vector(p) == (2, 1, 0)
-    top = faces.face_lattice(p)[-1]
+    top = faces.Analysis(p).lattice[-1]
     assert top.dim == 1 and top.tight_set == frozenset({0, 1})
 
 
@@ -164,10 +171,9 @@ def test_product_structure_total_face_count():
     # A product of two hexagons: the face lattice is the product of the
     # factors' lattices minus the doubled top, so the total face count is
     # the square of the polygon's (13 for a hexagon: 6 + 6 + 1).
-    lattice = faces.face_lattice(constructors.pstar(12, 4))
-    assert len(lattice) == 13 * 13
-    assert faces.f_vector_from_lattice(constructors.pstar(12, 4), lattice) == \
-        (36, 72, 48, 12, 1)
+    analysis = faces.Analysis(constructors.pstar(12, 4))
+    assert len(analysis.lattice) == 13 * 13
+    assert faces.f_vector(analysis) == (36, 72, 48, 12, 1)
 
 
 def test_one_dimensional_segment():

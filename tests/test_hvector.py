@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cached_f_vector, cached_instance, cached_lattice,
-                      simplex3, square_pyramid, unit_square)
+from conftest import (cached_analysis, cached_f_vector, simplex3,
+                      square_pyramid, unit_square)
 from li2poly import constructors, faces, hvector
 from li2poly.errors import GenericObjectiveError, NotSimpleError
 from li2poly.ratlin import ZERO, dot
@@ -50,7 +50,7 @@ def test_indegree_simplex():
 
 
 def test_indegree_pstar_12_6():
-    p = cached_instance("pstar", 12, 6)
+    p = cached_analysis("pstar", 12, 6)
     assert hvector.indegree_hvector(p, 5) == (1, 6, 15, 20, 15, 6, 1)
 
 
@@ -82,8 +82,9 @@ def test_unique_source_and_sink_per_face():
     # source; the polytope itself gives the global ones.
     for p in (unit_square(), constructors.convex_polygon(6),
               constructors.dual_cyclic(6, 3)):
-        lattice = faces.face_lattice(p)
-        points, edges = faces.edge_graph(p)
+        analysis = faces.Analysis(p)
+        lattice = analysis.lattice
+        points, edges = faces.edge_graph(analysis)
         c, directed = hvector.orient_edges(points, edges, seed=11)
         for face in lattice:
             if face.dim < 1:
@@ -106,7 +107,7 @@ def test_dehn_sommerville_symmetry():
 
 
 def test_ubt_pstar_12_6_componentwise():
-    report = hvector.strengthened_ubt_check(cached_instance("pstar", 12, 6), 12)
+    report = hvector.strengthened_ubt_check(cached_analysis("pstar", 12, 6), 12)
     assert report.satisfied
     assert tuple(e.h_value for e in report.entries) == (1, 6, 15, 20, 15, 6, 1)
     assert tuple(e.h_dual_cyclic for e in report.entries) == (1, 6, 21, 56, 21, 6, 1)
