@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import constructors, faces, formulas, geometry, hvector, model
 from .errors import InputError
@@ -40,18 +39,6 @@ def _timer():
     return lambda: round((time.perf_counter() - start) * 1000, 3)
 
 
-def _formula_f_vector(tag: model.FamilyTag) -> tuple[int, ...]:
-    if tag.name == "pstar":
-        return formulas.pstar_f_vector(tag.n, tag.d)
-    if tag.name == "dualcyclic":
-        return formulas.dual_cyclic_f_vector(tag.n, tag.d)
-    if tag.name == "prism3":
-        return formulas.prism3_f_vector(tag.n)
-    if tag.name == "polygon":
-        return formulas.polygon_f_vector(tag.n)
-    raise InputError(f"no closed-form f-vector for family {tag.name!r}")
-
-
 def _read_polytope(path: str) -> model.HPolytope:
     try:
         with open(path, "rb") as fh:
@@ -64,9 +51,16 @@ class UsageError(Exception):
     pass
 
 
+def _require_at_least(args, name: str, low: int) -> None:
+    """Reject an integer option below `low`; an omitted option passes."""
+    value = getattr(args, name)
+    if value is not None and value < low:
+        raise UsageError(f"--{name} must be at least {low}, got {value}")
+
+
 def _build_instance(args) -> model.HPolytope:
     """The constructor instance named by args.family, args.n and args.d."""
-    fixed = {"prism3": 3, "polygon": 2}.get(args.family)
+    fixed = constructors.FAMILIES[args.family].fixed_dim
     if fixed is None and args.d is None:
         raise UsageError(f"family {args.family!r} requires --d")
     if fixed is not None and args.d is not None and args.d != fixed:
@@ -94,7 +88,7 @@ def cmd_fvector(args) -> int:
             raise InputError(
                 "formula method requires a recognized family tag "
                 "('# family: NAME n=.. d=..') in the input file")
-        f = _formula_f_vector(p.family)
+        f = constructors.FAMILIES[p.family.name].f_vector(p.family.n, p.family.d)
     else:
         f = faces.Analysis(p, args.max_subsets).f_vector
     doc = {
@@ -113,6 +107,7 @@ def cmd_fvector(args) -> int:
 
 
 def cmd_hvector(args) -> int:
+    _require_at_least(args, "repeat", 1)
     elapsed = _timer()
     p = _read_polytope(args.infile)
     analysis = faces.Analysis(p)
@@ -152,7 +147,7 @@ def cmd_verify(args) -> int:
     timing["enumerate"] = stage()
 
     stage = _timer()
-    f_formula = _formula_f_vector(p.family)
+    f_formula = constructors.FAMILIES[args.family].f_vector(n, d)
     timing["formula"] = stage()
 
     profile = model.li2_profile(p)
@@ -270,6 +265,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_report_ratio(args) -> int:
+    _require_at_least(args, "step", 1)
+    _require_at_least(args, "decimal", 0)
     ns = list(range(args.n_start, args.n_end + 1, args.step))
     if not ns:
         raise UsageError("empty n range")
@@ -345,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="write an H-rep for a known family")
-    c.add_argument("family", choices=("pstar", "dualcyclic", "prism3", "polygon"))
+    c.add_argument("family", choices=tuple(constructors.FAMILIES))
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--d", type=int)
     c.add_argument("--out")

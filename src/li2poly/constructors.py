@@ -11,8 +11,9 @@ dense maximizer they are compared against.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .formulas import pstar_polygon_size
+from . import formulas
 from .model import Constraint, FamilyTag, HPolytope
 from .ratlin import ONE, ZERO, Vec
 
@@ -81,7 +82,7 @@ def pstar(n: int, d: int) -> HPolytope:
     rows and adds the single half-space x_d >= 0; the result is a pointed
     but unbounded polyhedron, kept verbatim rather than capped.
     """
-    m = pstar_polygon_size(n, d)
+    m = formulas.pstar_polygon_size(n, d)
     rows: list[Constraint] = []
     for i in range(d // 2):
         rows.extend(embedded_polygon_rows(m, i, d))
@@ -130,14 +131,28 @@ def prism3(n: int) -> HPolytope:
     return HPolytope(3, tuple(rows), FamilyTag("prism3", n, 3))
 
 
+class Family(NamedTuple):
+    """A constructor family: builder and closed-form f-vector, both of (n, d)."""
+    build: Callable[[int, int], HPolytope]
+    f_vector: Callable[[int, int], tuple[int, ...]]
+    fixed_dim: int | None = None
+
+
+# The builders call the constructors by name, so a wrapper installed on a
+# module attribute (a tracer, a test double) sees every call.
+FAMILIES = {
+    "pstar": Family(lambda n, d: pstar(n, d), formulas.pstar_f_vector),
+    "dualcyclic": Family(lambda n, d: dual_cyclic(n, d),
+                         formulas.dual_cyclic_f_vector),
+    "prism3": Family(lambda n, d: prism3(n),
+                     lambda n, d: formulas.prism3_f_vector(n), fixed_dim=3),
+    "polygon": Family(lambda n, d: convex_polygon(n),
+                      lambda n, d: formulas.polygon_f_vector(n), fixed_dim=2),
+}
+
+
 def from_family(tag: FamilyTag) -> HPolytope:
     """Rebuild a constructor instance from its family tag."""
-    if tag.name == "pstar":
-        return pstar(tag.n, tag.d)
-    if tag.name == "dualcyclic":
-        return dual_cyclic(tag.n, tag.d)
-    if tag.name == "prism3":
-        return prism3(tag.n)
-    if tag.name == "polygon":
-        return convex_polygon(tag.n)
-    raise ValueError(f"unknown family {tag.name!r}")
+    if tag.name not in FAMILIES:
+        raise ValueError(f"unknown family {tag.name!r}")
+    return FAMILIES[tag.name].build(tag.n, tag.d)

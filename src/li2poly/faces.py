@@ -2,12 +2,15 @@
 
 This module is the independent oracle the closed-form counts are checked
 against, so it favors exhaustiveness over cleverness. Vertices come from
-solving every d-row subsystem. Faces are identified by their closed tight
-sets: every nonempty face of a pointed polyhedron contains a vertex, hence
-its tight set is a subset of some vertex's tight set, so scanning subsets
-of vertex tight sets (up to size d) and closing each one via
-relative_interior_point finds every face exactly once, including the
-unbounded ones.
+solving every d-row subsystem, recession rays from every (d-1)-row one.
+Faces are identified by their closed tight sets: every nonempty face of a
+pointed polyhedron contains a vertex, hence its tight set is a subset of
+some vertex's tight set, so scanning subsets of vertex tight sets (up to
+size d) finds every face, including the unbounded ones. Each candidate is
+closed by set algebra alone: a face is the convex hull of its vertices
+plus the cone of its extreme rays, so the rows tight on all of it are the
+intersection of its vertices' tight sets and its rays' zero sets. No
+linear program runs per face.
 
 The query functions below and in hvector take an HPolytope or an
 Analysis; sharing one Analysis enumerates the polytope once. A work
@@ -23,10 +26,9 @@ from math import comb
 
 from .errors import (CapExceededError, InfeasibleError, NonPointedError,
                      RedundantInputError, UnboundedInputError)
-from .geometry import is_bounded, redundant_constraints, relative_interior_point
+from .geometry import is_bounded, redundant_constraints
 from .model import HPolytope
-from .ratlin import Vec, dot, rank, solve_affine, solve_linear_system
-from .simplex import ZERO
+from .ratlin import ZERO, Vec, dot, rank, solve_affine, solve_linear_system
 
 DEFAULT_N_CAP = 24
 DEFAULT_D_CAP = 7
@@ -38,13 +40,11 @@ FVector = tuple[int, ...]
 class Face:
     """A nonempty face, keyed by its maximal (closed) tight constraint set.
 
-    `witness` lies in the relative interior. `vertex_ids` indexes into the
-    vertex list returned alongside the lattice and is None for unbounded
-    faces.
+    `vertex_ids` indexes into the analysis's vertex list and is None for
+    unbounded faces.
     """
     tight_set: frozenset[int]
     dim: int
-    witness: Vec
     vertex_ids: frozenset[int] | None
 
 
@@ -147,18 +147,13 @@ class Analysis:
     def edge_graph(self) -> tuple[list[Vec], list[tuple[int, int]]]:
         if not self.bounded:
             raise UnboundedInputError("edge graph requires a bounded polytope")
-        zero_faces = sorted((f for f in self.lattice if f.dim == 0),
-                            key=lambda f: f.witness)
-        points = [f.witness for f in zero_faces]
-        vertex_of_tight = {f.tight_set: i for i, f in enumerate(zero_faces)}
         edges = []
         for f in self.lattice:
             if f.dim == 1:
-                ends = [i for t, i in vertex_of_tight.items() if f.tight_set <= t]
-                if len(ends) != 2:
+                if len(f.vertex_ids) != 2:
                     raise AssertionError("bounded 1-face without exactly two vertices")
-                edges.append((min(ends), max(ends)))
-        return points, sorted(edges)
+                edges.append(tuple(sorted(f.vertex_ids)))
+        return [x for x, _ in self.vertices], sorted(edges)
 
 
 def analyze(x: HPolytope | Analysis) -> Analysis:
@@ -170,12 +165,14 @@ def face_lattice(a: Analysis) -> list[Face]:
     """Every nonempty face of a feasible pointed polyhedron, P itself included.
 
     Candidate tight sets are the subsets (of size at most d) of vertex
-    tight sets; each is closed and witnessed through
-    relative_interior_point and deduplicated by closed tight set. Faces are
-    returned sorted by (dim, tight_set). Vertices, boundedness and rays come
-    from the analysis, which also applies the caps. This is the builder
-    behind Analysis.lattice: each call builds a new lattice, so read
-    analyze(p).lattice for the cached one.
+    tight sets. The face of a candidate S holds the vertices whose tight
+    set contains S and the rays whose zero set {i : a_i.y = 0} contains S;
+    its closed tight set is the intersection of those sets, and faces are
+    deduplicated by it. Faces are returned sorted by (dim, tight_set).
+    Vertices, boundedness and rays come from the analysis, which also
+    applies the caps. This is the builder behind Analysis.lattice: each
+    call builds a new lattice, so read analyze(p).lattice for the cached
+    one.
     """
     p, d = a.p, a.p.dim
     vertices = a.vertices
@@ -192,21 +189,17 @@ def face_lattice(a: Analysis) -> list[Face]:
                     raise CapExceededError(
                         f"candidate tight sets exceed max_subsets={a.max_subsets}")
 
+    ray_zeros = [frozenset(i for i, r in enumerate(p.rows()) if dot(r, y) == 0)
+                 for y in a.rays]
     faces: dict[frozenset[int], Face] = {}
-    for cand in sorted(candidates, key=lambda s: (len(s), sorted(s))):
-        witness = relative_interior_point(p, cand)
-        if witness is None:
-            continue
-        closed = p.tight_at(witness)
+    for cand in candidates:
+        vertex_ids = [vid for vid, (_, vt) in enumerate(vertices) if cand <= vt]
+        zeros = [z for z in ray_zeros if cand <= z]
+        closed = frozenset.intersection(*(vertices[v][1] for v in vertex_ids), *zeros)
         if closed in faces:
             continue
-        tight_rows = [p.constraints[i].coeffs for i in sorted(closed)]
-        fdim = d - (rank(tuple(tight_rows)) if tight_rows else 0)
-        unbounded = any(
-            all(dot(p.constraints[i].coeffs, y) == 0 for i in closed) for y in a.rays)
-        vertex_ids = None if unbounded else frozenset(
-            vid for vid, (_, vt) in enumerate(vertices) if closed <= vt)
-        faces[closed] = Face(closed, fdim, witness, vertex_ids)
+        fdim = d - rank([p.constraints[i].coeffs for i in sorted(closed)])
+        faces[closed] = Face(closed, fdim, None if zeros else frozenset(vertex_ids))
     return sorted(faces.values(), key=lambda f: (f.dim, sorted(f.tight_set)))
 
 

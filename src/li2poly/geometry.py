@@ -1,83 +1,17 @@
 """Exact geometric predicates backed by the rational simplex.
 
-The workhorse is relative_interior_point: given a set of rows forced to
-equality, it parametrizes the affine subspace they cut out, then maximizes
-the minimum slack of the remaining rows over that subspace. A positive
-optimum yields a witness that is strictly inside every face-defining
-inequality; zero optimum means more rows are implicitly tight, which we
-detect one row at a time and fold into the equality system (the rank grows
-each round, so this terminates).
+Feasibility, boundedness, full dimension and redundancy are each decided
+by a few exact linear programs over the whole system. Face-level
+questions are answered without any program, from the vertex and ray
+incidences held by faces.Analysis.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InfeasibleError, UnboundedInputError
 from .model import HPolytope
-from .ratlin import ONE, ZERO, Vec, dot, solve_affine, vec_add, vec_scale
-from .simplex import OPTIMAL, UNBOUNDED, max_min_slack, solve_lp_max
-
-
-def relative_interior_point(p: HPolytope, tight: frozenset[int] | set[int]
-                            ) -> Vec | None:
-    """A point with equality exactly on the closure of `tight`, or None.
-
-    The returned point satisfies every row of `tight` with equality, every
-    other row weakly, and strictly whenever the row is not forced tight by
-    the face itself. None means the face is empty.
-    """
-    if not all(0 <= i < p.n for i in tight):
-        raise ValueError("tight indices out of range")
-    work = set(tight)
-    d = p.dim
-    while True:
-        eq_rows = [p.constraints[i].coeffs for i in sorted(work)]
-        eq_rhs = [p.constraints[i].rhs for i in sorted(work)]
-        solved = solve_affine(eq_rows, eq_rhs, d)
-        if solved is None:
-            return None
-        x0, basis = solved
-        m = len(basis)
-        # Slack of row j on the subspace: rhs_c[j] - rows_g[j].z
-        lp_rows: list[tuple[Fraction, ...]] = []
-        lp_rhs: list[Fraction] = []
-        lp_idx: list[int] = []
-        for j, c in enumerate(p.constraints):
-            if j in work:
-                continue
-            g = tuple(dot(c.coeffs, bv) for bv in basis)
-            const = c.rhs - dot(c.coeffs, x0)
-            if all(x == 0 for x in g):
-                if const < 0:
-                    return None
-                continue  # constant slack on the subspace; never binds
-            lp_rows.append(g)
-            lp_rhs.append(const)
-            lp_idx.append(j)
-        if m == 0 or not lp_rows:
-            return x0
-        value, z = max_min_slack(lp_rows, lp_rhs, m)
-        if value < 0:
-            return None
-        if value > 0:
-            pt = x0
-            for coef, bv in zip(z, basis):
-                if coef != 0:
-                    pt = vec_add(pt, vec_scale(bv, coef))
-            return pt
-        # Optimum zero: at least one row is tight on the whole face.
-        forced = []
-        for pos, j in enumerate(lp_idx):
-            neg_g = tuple(-x for x in lp_rows[pos])
-            res = solve_lp_max(neg_g, lp_rows, lp_rhs)
-            if res.status == UNBOUNDED:
-                continue
-            if lp_rhs[pos] + res.value == 0:
-                forced.append(j)
-        if not forced:
-            raise AssertionError("zero slack optimum without a forced-tight row")
-        work.update(forced)
+from .ratlin import ONE, ZERO, Vec
+from .simplex import OPTIMAL, max_min_slack, solve_lp_max
 
 
 def feasible_point(p: HPolytope) -> Vec | None:
@@ -119,10 +53,9 @@ def redundant_constraints(p: HPolytope) -> set[int]:
     Row i is redundant iff maximizing its left-hand side subject to the
     other (still active) rows cannot exceed its right-hand side. Rows are
     scanned from the highest index down, so among duplicates the lowest
-    index is the one kept. Requires a feasible bounded input.
+    index is the one kept. Requires a feasible bounded input; is_bounded
+    raises InfeasibleError on an empty one.
     """
-    if feasible_point(p) is None:
-        raise InfeasibleError("polyhedron is empty")
     if not is_bounded(p):
         raise UnboundedInputError("redundancy scan requires a bounded polytope")
     active = list(range(p.n))

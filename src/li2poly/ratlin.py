@@ -37,16 +37,8 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(u: Vec, s: Fraction) -> Vec:
-    return tuple(s * a for a in u)
 
 
 def matvec(m: Mat, v: Vec) -> Vec:

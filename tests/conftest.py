@@ -35,13 +35,7 @@ def simplex3() -> model.HPolytope:
 
 @cache
 def cached_instance(family: str, n: int, d: int) -> model.HPolytope:
-    if family == "pstar":
-        return constructors.pstar(n, d)
-    if family == "dualcyclic":
-        return constructors.dual_cyclic(n, d)
-    if family == "prism3":
-        return constructors.prism3(n)
-    raise ValueError(family)
+    return constructors.FAMILIES[family].build(n, d)
 
 
 @cache

@@ -51,6 +51,22 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hvector", "--in", "unread.hrep", "--seed", "0", "--repeat", "0"],
+     "--repeat must be at least 1, got 0"),
+    (["report", "ratio", "--d", "4", "--k", "0", "--n-start", "8",
+      "--n-end", "12", "--step", "0"], "--step must be at least 1, got 0"),
+    (["report", "ratio", "--d", "4", "--k", "0", "--n-start", "8",
+      "--n-end", "8", "--step", "1", "--csv", "--decimal", "-2"],
+     "--decimal must be at least 0, got -2"),
+])
+def test_integer_option_out_of_range_exits_2(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def test_fvector_formula_requires_family_tag(tmp_path, capsys):
     path = tmp_path / "plain.hrep"
     path.write_text("2 2\n1 0 1\n0 1 1\n")

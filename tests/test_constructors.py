@@ -1,7 +1,5 @@
 """Constructor families: counts, structure, and validation."""
 
-from itertools import product
-
 import pytest
 
 from li2poly import constructors, faces, geometry, model
@@ -154,6 +152,19 @@ def test_from_family_round_trip():
                   lambda: constructors.convex_polygon(5)):
         p = build()
         assert constructors.from_family(p.family) == p
+
+
+def test_family_registry_matches_parser_names():
+    assert tuple(constructors.FAMILIES) == model.FAMILY_NAMES
+
+
+def test_family_registry_closed_forms_match_enumeration():
+    for name, n, d in (("pstar", 8, 4), ("pstar", 7, 3), ("dualcyclic", 7, 3),
+                       ("prism3", 7, None), ("polygon", 5, None)):
+        family = constructors.FAMILIES[name]
+        p = family.build(n, d)
+        assert p.dim == (family.fixed_dim or d)
+        assert family.f_vector(n, d) == faces.f_vector(p)
 
 
 def test_odd_pstar_every_row_supports_a_facet():

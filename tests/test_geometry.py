@@ -1,14 +1,16 @@
-"""LP-backed predicates: interior witnesses, boundedness, redundancy."""
+"""LP-backed predicates: boundedness, redundancy, and the interior witnesses
+of the reference oracle in lp_oracle."""
 
 from fractions import Fraction
 
 import pytest
 
-from conftest import square_pyramid, unit_square
+from conftest import square_pyramid
 from li2poly import constructors
 from li2poly.errors import InfeasibleError, UnboundedInputError
 from li2poly.geometry import (feasible_point, is_bounded, is_full_dimensional,
-                              redundant_constraints, relative_interior_point)
+                              redundant_constraints)
+from lp_oracle import relative_interior_point
 from li2poly.model import Constraint, HPolytope, parse_hrep
 
 

@@ -1,0 +1,118 @@
+"""Differential tests: the incidence-built face lattice against the LP oracle.
+
+faces.face_lattice closes candidate tight sets by intersecting vertex tight
+sets and ray zero sets. lp_oracle closes them through relative-interior
+witnesses and decides boundedness face by face with an exact program.
+Both must give the same (tight_set, dim, vertex_ids) on the acceptance
+instances and on random two-variable systems, and every lattice must
+satisfy the Euler relation. Separately, a face has no vertex_ids exactly
+when geometry.is_bounded fails on it; every face of a bounded polyhedron
+is bounded, so that check runs on unbounded instances only.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import square_pyramid
+from li2poly import constructors, faces
+from li2poly.model import Constraint, HPolytope, parse_hrep
+from li2poly.ratlin import dot, rank
+from lp_oracle import face_is_bounded, lp_face_lattice
+
+INSTANCES = {
+    "pstar_8_4": lambda: constructors.pstar(8, 4),
+    "pstar_9_5": lambda: constructors.pstar(9, 5),
+    "pstar_7_3": lambda: constructors.pstar(7, 3),
+    "dual_cyclic_8_4": lambda: constructors.dual_cyclic(8, 4),
+    "prism3_8": lambda: constructors.prism3(8),
+    "square_pyramid": square_pyramid,
+    "segment": lambda: parse_hrep("4 2\n1 0 1\n-1 0 -1\n0 1 1\n0 -1 0"),
+    # The square pyramid without its base: an unbounded cone whose apex
+    # lies on four facets.
+    "pyramid_cone": lambda: HPolytope(3, square_pyramid().constraints[1:]),
+}
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+SCALES = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2)])
+
+
+@st.composite
+def two_variable_systems(draw) -> HPolytope:
+    """A feasible pointed system in d <= 4 variables, two per row at most.
+
+    Rows on random variable pairs and single-variable bounds all hold at
+    one integer point, with zero slack often enough to make degenerate
+    vertices. Some rows are duplicated; every row is then scaled by a
+    positive factor and the rows are permuted.
+    """
+    d = draw(st.integers(2, 4))
+    point = [Fraction(draw(st.integers(-2, 2))) for _ in range(d)]
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                             unique=True))
+        coeffs = [Fraction(0)] * d
+        coeffs[i], coeffs[j] = draw(SMALL), draw(SMALL)
+        rows.append(coeffs)
+    for _ in range(draw(st.integers(0, d + 1))):
+        coeffs = [Fraction(0)] * d
+        coeffs[draw(st.integers(0, d - 1))] = Fraction(draw(st.sampled_from([-1, 1])))
+        rows.append(coeffs)
+    constraints = [Constraint(tuple(r), dot(r, point) + draw(st.integers(0, 2)))
+                   for r in rows if any(r)]
+    assume(constraints)
+    for _ in range(draw(st.integers(0, 2))):
+        constraints.append(draw(st.sampled_from(constraints)))
+    scaled = []
+    for c in constraints:
+        s = draw(SCALES)
+        scaled.append(Constraint(tuple(s * a for a in c.coeffs), s * c.rhs))
+    p = HPolytope(d, tuple(draw(st.permutations(scaled))))
+    assume(rank(p.rows()) == d)
+    return p
+
+
+def _lattice(p: HPolytope):
+    return [(f.tight_set, f.dim, f.vertex_ids) for f in faces.Analysis(p).lattice]
+
+
+def _check_against_oracle(p: HPolytope) -> None:
+    lattice = _lattice(p)
+    assert lattice == lp_face_lattice(p)
+    euler = sum((-1) ** dim for _, dim, _ in lattice)
+    assert euler == (1 if faces.Analysis(p).bounded else 0)
+
+
+def _check_ray_coverage(p: HPolytope) -> None:
+    for tight_set, _, vertex_ids in _lattice(p):
+        assert (vertex_ids is None) == (not face_is_bounded(p, tight_set))
+
+
+RANDOM = settings(max_examples=20, derandomize=True, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.filter_too_much,
+                                         HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_lattice_matches_lp_oracle(name):
+    _check_against_oracle(INSTANCES[name]())
+
+
+@pytest.mark.parametrize("name", ["pstar_7_3", "pyramid_cone"])
+def test_vertex_ids_none_exactly_on_unbounded_faces(name):
+    _check_ray_coverage(INSTANCES[name]())
+
+
+@RANDOM
+@given(two_variable_systems())
+def test_lattice_matches_lp_oracle_on_random_systems(p):
+    _check_against_oracle(p)
+
+
+@RANDOM
+@given(two_variable_systems())
+def test_vertex_ids_none_exactly_on_unbounded_faces_of_random_systems(p):
+    _check_ray_coverage(p)
