@@ -2,7 +2,9 @@
 
 This module is the independent oracle the closed-form counts are checked
 against, so it favors exhaustiveness over cleverness. Vertices come from
-solving every d-row subsystem, recession rays from every (d-1)-row one.
+solving every d-row subsystem, the only scan over all row subsets. Every
+extreme ray spans an unbounded edge at one vertex, so the rays, and with
+them boundedness, come from the vertex tight sets without a linear program.
 Faces are identified by their closed tight sets: every nonempty face of a
 pointed polyhedron contains a vertex, hence its tight set is a subset of
 some vertex's tight set, so scanning subsets of vertex tight sets (up to
@@ -19,6 +21,7 @@ budget other than the default caps is given when the Analysis is made.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -26,7 +29,7 @@ from math import comb
 
 from .errors import (CapExceededError, InfeasibleError, NonPointedError,
                      RedundantInputError, UnboundedInputError)
-from .geometry import is_bounded, redundant_constraints
+from .geometry import redundant_constraints
 from .model import HPolytope
 from .ratlin import ZERO, Vec, dot, rank, solve_affine, solve_linear_system
 
@@ -71,18 +74,20 @@ def enumerate_vertices(p: HPolytope) -> list[tuple[Vec, frozenset[int]]]:
     return sorted(seen.items())
 
 
-def recession_ray_candidates(p: HPolytope) -> list[Vec]:
-    """Nonzero directions y with Ay <= 0 found from (d-1)-row subsystems.
-
-    The list covers every extreme ray of the recession cone (each is tight
-    on d-1 independent rows), which is all the boundedness tests below
-    need; non-extreme members are harmless extras. Directions are
-    normalized so the first nonzero coordinate is +/-1.
+def recession_ray_candidates(p: HPolytope,
+                             vertices: list[tuple[Vec, frozenset[int]]]) -> list[Vec]:
+    """The extreme rays of the recession cone {y : Ay <= 0}, normalized so
+    the first nonzero coordinate is +/-1. Each spans an unbounded edge at a
+    vertex, cut out by d-1 independent rows tight at that vertex alone, so
+    only the (d-1)-subsets of exactly one vertex tight set are solved; rows
+    tight at two vertices cut out a bounded segment, not a ray.
     """
     d = p.dim
     rows = p.rows()
+    holders = Counter(sub for _, tight in vertices
+                      for sub in combinations(sorted(tight), d - 1))
     found: set[Vec] = set()
-    for subset in combinations(range(p.n), d - 1):
+    for subset in [sub for sub, count in holders.items() if count == 1]:
         solved = solve_affine([rows[i] for i in subset], [ZERO] * (d - 1), d)
         if solved is None or len(solved[1]) != 1:
             continue
@@ -100,10 +105,11 @@ class Analysis:
     """The enumeration results of one polytope under one work budget.
 
     Each property is computed on first access and cached on this object
-    only; cached values are shared, so callers must not mutate them. The
-    caps are checked here, before any work: n <= 24, d <= 7 by default, or
-    else C(n, d) vertex subsystems and the lattice's candidate tight sets
-    must each fit in the explicit max_subsets budget.
+    only; cached values are shared, so callers must not mutate them. Rays,
+    boundedness and faces all come from the vertex tight sets. The caps are
+    checked here, before any work: n <= 24, d <= 7 by default, or else
+    C(n, d) vertex subsystems and the lattice's candidate tight sets must
+    each fit in the explicit max_subsets budget.
     """
     p: HPolytope
     max_subsets: int | None = None
@@ -125,12 +131,14 @@ class Analysis:
 
     @cached_property
     def bounded(self) -> bool:
-        return is_bounded(self.p)
+        if not self.vertices:
+            raise InfeasibleError("polyhedron is empty")
+        return not self.rays
 
     @cached_property
     def rays(self) -> list[Vec]:
-        """Recession ray candidates; none for a bounded polytope."""
-        return [] if self.bounded else recession_ray_candidates(self.p)
+        """The extreme rays of the recession cone; none for a bounded polytope."""
+        return recession_ray_candidates(self.p, self.vertices)
 
     @cached_property
     def lattice(self) -> list[Face]:

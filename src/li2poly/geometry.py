@@ -1,9 +1,8 @@
 """Exact geometric predicates backed by the rational simplex.
 
-Feasibility, boundedness, full dimension and redundancy are each decided
-by a few exact linear programs over the whole system. Face-level
-questions are answered without any program, from the vertex and ray
-incidences held by faces.Analysis.
+Feasibility, boundedness and redundancy are each decided by a few exact
+linear programs over the whole system. They serve the redundancy scan of
+`profile` and faces.facet_adjacency_count; faces.Analysis runs none of them.
 """
 
 from __future__ import annotations
@@ -69,11 +68,3 @@ def redundant_constraints(p: HPolytope) -> set[int]:
             redundant.add(i)
             active.remove(i)
     return redundant
-
-
-def is_full_dimensional(p: HPolytope) -> bool:
-    """True iff the polyhedron has an interior point (all slacks positive)."""
-    if p.n == 0:
-        return True
-    value, _ = max_min_slack(p.rows(), p.rhs(), p.dim)
-    return value > 0

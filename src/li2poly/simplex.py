@@ -170,8 +170,8 @@ def solve_lp_max(objective, rows, rhs) -> LPResult:
     return LPResult(OPTIMAL, value, point)
 
 
-def max_min_slack(rows, rhs, dim, cap: Fraction = ONE) -> tuple[Fraction, Vec]:
-    """Maximize the uniform slack s with rows[j].z + s <= rhs[j] and s <= cap.
+def max_min_slack(rows, rhs, dim) -> tuple[Fraction, Vec]:
+    """Maximize the uniform slack s with rows[j].z + s <= rhs[j] and s <= 1.
 
     The program is always feasible (s may go negative) and the cap keeps it
     bounded, so the result is always optimal. Returns (s*, z*).
@@ -179,7 +179,7 @@ def max_min_slack(rows, rhs, dim, cap: Fraction = ONE) -> tuple[Fraction, Vec]:
     objective = (ZERO,) * dim + (ONE,)
     lp_rows = [tuple(r) + (ONE,) for r in rows]
     lp_rows.append((ZERO,) * dim + (ONE,))
-    lp_rhs = list(rhs) + [cap]
+    lp_rhs = list(rhs) + [ONE]
     res = solve_lp_max(objective, lp_rows, lp_rhs)
     if res.status != OPTIMAL:
         raise AssertionError(f"slack program must be solvable, got {res.status}")

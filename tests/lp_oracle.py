@@ -4,9 +4,10 @@ faces.face_lattice closes each candidate tight set by set algebra over
 vertex and ray incidences. This module closes it the independent way: an
 exact program finds a point in the relative interior of the candidate's
 face, and the rows tight there form the closed tight set. Every face of a
-bounded polyhedron is bounded; on an unbounded one, each face is tested
-by geometry.is_bounded with the face's rows turned into equalities, so no
-recession ray list is involved.
+bounded polyhedron is bounded; on an unbounded one, faces are tested by
+geometry.is_bounded with the face's rows turned into equalities, and the
+face order passes each answer on to the faces it settles, so no recession
+ray list is involved.
 """
 
 from __future__ import annotations
@@ -89,25 +90,49 @@ def face_is_bounded(p: HPolytope, tight: frozenset[int]) -> bool:
     return is_bounded(HPolytope(p.dim, p.constraints + reversed_rows))
 
 
+def faces_bounded(p: HPolytope, dims: dict[frozenset[int], int]
+                  ) -> dict[frozenset[int], bool]:
+    """Boundedness of each face (closed tight set -> dim) by is_bounded.
+
+    Two face-of-face facts spare programs: a face of a bounded face is
+    bounded, and a face containing an unbounded face is unbounded. So the
+    faces one dimension below the top are tested first and pass
+    boundedness down; the rest are decided upward from the smallest, and
+    only those neither fact settles are tested.
+    """
+    if is_bounded(p):
+        return dict.fromkeys(dims, True)
+    top = max(dims.values())
+    bounded = {t: face_is_bounded(p, t) for t, dim in dims.items() if dim == top - 1}
+    for t, dim in dims.items():
+        if dim == top:
+            bounded[t] = False
+        elif dim < top - 1 and any(b and f <= t for f, b in bounded.items()):
+            bounded[t] = True
+    for t in sorted(set(dims) - set(bounded), key=dims.get):
+        bounded[t] = (not any(not b and t < g for g, b in bounded.items())
+                      and face_is_bounded(p, t))
+    return bounded
+
+
 def lp_face_lattice(p: HPolytope
                     ) -> list[tuple[frozenset[int], int, frozenset[int] | None]]:
     """(tight_set, dim, vertex_ids) of every nonempty face, sorted like
     faces.face_lattice, with each candidate closed through a witness."""
     d = p.dim
     vertices = enumerate_vertices(p)
-    bounded = is_bounded(p)
     candidates = {frozenset(sub) for _, tight in vertices
                   for size in range(min(d, len(tight)) + 1)
                   for sub in combinations(sorted(tight), size)}
-    lattice = {}
+    dims = {}
     for cand in candidates:
         witness = relative_interior_point(p, cand)
         assert witness is not None, "a subset of a vertex tight set has a face"
         closed = p.tight_at(witness)
-        if closed in lattice:
-            continue
-        dim = d - rank([p.constraints[i].coeffs for i in sorted(closed)])
-        vertex_ids = frozenset(v for v, (_, vt) in enumerate(vertices) if closed <= vt)
-        lattice[closed] = (closed, dim, vertex_ids
-                           if bounded or face_is_bounded(p, closed) else None)
-    return sorted(lattice.values(), key=lambda f: (f[1], sorted(f[0])))
+        if closed not in dims:
+            dims[closed] = d - rank([p.constraints[i].coeffs for i in sorted(closed)])
+    bounded = faces_bounded(p, dims)
+    lattice = [(closed, dim, frozenset(v for v, (_, vt) in enumerate(vertices)
+                                       if closed <= vt) if bounded[closed] else None)
+               for closed, dim in dims.items()]
+    return sorted(lattice, key=lambda f: (f[1], sorted(f[0])))

@@ -1,4 +1,5 @@
-"""One Analysis per polytope: build counts, shared-versus-fresh agreement, caps."""
+"""One Analysis per polytope: build and program counts, shared-versus-fresh
+agreement, empty and non-pointed inputs, caps."""
 
 import sys
 import time
@@ -6,10 +7,10 @@ import time
 import pytest
 
 from conftest import square_pyramid
-from li2poly import constructors, faces, geometry, hvector, model
+from li2poly import constructors, faces, geometry, hvector, model, simplex
 from li2poly.cli import run
-from li2poly.errors import (CapExceededError, LI2PolyError, NotSimpleError,
-                            UnboundedInputError)
+from li2poly.errors import (CapExceededError, InfeasibleError, LI2PolyError,
+                            NonPointedError, NotSimpleError, UnboundedInputError)
 
 
 def _count_calls(monkeypatch, functions) -> dict[str, int]:
@@ -31,7 +32,8 @@ def _count_calls(monkeypatch, functions) -> dict[str, int]:
     return counts
 
 
-WORKERS = (faces.face_lattice, faces.enumerate_vertices, geometry.is_bounded)
+WORKERS = (faces.face_lattice, faces.enumerate_vertices,
+           faces.recession_ray_candidates)
 
 
 def _write(tmp_path, p: model.HPolytope) -> str:
@@ -40,14 +42,52 @@ def _write(tmp_path, p: model.HPolytope) -> str:
     return str(path)
 
 
-def test_verify_builds_each_result_once(monkeypatch, capsys):
-    counts = _count_calls(monkeypatch, WORKERS)
-    assert run(["verify", "pstar", "--n", "8", "--d", "4", "--json",
-                "--no-timing"]) == 0
+@pytest.mark.parametrize("argv", [
+    ["verify", "pstar", "--n", "8", "--d", "4", "--json", "--no-timing"],
+    ["verify", "pstar", "--n", "12", "--d", "6", "--json", "--no-timing"],
+    ["verify", "dualcyclic", "--n", "10", "--d", "4", "--json", "--no-timing"],
+    ["fvector", "--method", "enumerate", "--no-timing", "--in"],
+], ids=["verify_pstar_8_4", "verify_pstar_12_6", "verify_dualcyclic_10_4",
+        "fvector_pstar_9_5"])
+def test_commands_build_each_result_once_and_run_no_program(monkeypatch, capsys,
+                                                            tmp_path, argv):
+    if argv[0] == "fvector":
+        argv = argv + [_write(tmp_path, constructors.pstar(9, 5))]
+    counts = _count_calls(monkeypatch,
+                          WORKERS + (simplex.solve_lp_max, geometry.is_bounded))
+    assert run(argv) == 0
     capsys.readouterr()
     assert counts == {"li2poly.faces.face_lattice": 1,
                       "li2poly.faces.enumerate_vertices": 1,
-                      "li2poly.geometry.is_bounded": 1}
+                      "li2poly.faces.recession_ray_candidates": 1,
+                      "li2poly.simplex.solve_lp_max": 0,
+                      "li2poly.geometry.is_bounded": 0}
+
+
+def test_facet_adjacency_runs_one_boundedness_program(monkeypatch):
+    counts = _count_calls(monkeypatch, [geometry.is_bounded])
+    assert faces.facet_adjacency_count(constructors.convex_polygon(5)) == 5
+    assert counts == {"li2poly.geometry.is_bounded": 1}
+
+
+EMPTY = "2 1\n1 -2\n-1 1"  # x <= -2 and x >= -1: pointed and empty
+STRIP = "2 2\n0 1 1\n0 -1 0"  # 0 <= y <= 1: nonempty, not pointed
+
+
+def test_empty_input_is_reported_empty(tmp_path, capsys):
+    with pytest.raises(InfeasibleError, match=r"^polyhedron is empty$"):
+        faces.Analysis(model.parse_hrep(EMPTY)).bounded
+    path = _write(tmp_path, model.parse_hrep(EMPTY))
+    assert run(["hvector", "--in", path, "--seed", "0", "--no-timing"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: polyhedron is empty\n")
+
+
+@pytest.mark.parametrize("query", [faces.is_simple, faces.edge_graph,
+                                   faces.facet_adjacency_count])
+def test_non_pointed_input_is_rejected_as_non_pointed(query):
+    with pytest.raises(NonPointedError):
+        query(model.parse_hrep(STRIP))
 
 
 def test_hvector_repeat_shares_one_lattice(monkeypatch, capsys, tmp_path):

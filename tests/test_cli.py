@@ -222,16 +222,21 @@ def test_verify_reports_failed_separation_at_triangle_factors(capsys):
 
 @pytest.mark.parametrize("module, attr", [
     ("geometry", "solve_lp_max"),      # simplex, as geometry calls it
-    ("faces", "is_bounded"),           # geometry, as faces calls it
+    ("faces", "recession_ray_candidates"),
     ("faces", "enumerate_vertices"),
     ("formulas", "fk_dual_cyclic"),
 ])
-def test_internal_error_exits_4(monkeypatch, capsys, module, attr):
+def test_internal_error_exits_4(monkeypatch, capsys, tmp_path, module, attr):
     def broken(*args, **kwargs):
         raise AssertionError(f"invariant broken in {module}\nsecond line")
 
+    argv = ["verify", "prism3", "--n", "6", "--json", "--no-timing"]
+    if module == "geometry":  # verify runs no program; profile's redundancy scan does
+        path = str(tmp_path / "prism.hrep")
+        assert run(["construct", "prism3", "--n", "6", "--out", path]) == 0
+        argv = ["profile", "--in", path]
     monkeypatch.setattr(importlib.import_module(f"li2poly.{module}"), attr, broken)
-    assert run(["verify", "prism3", "--n", "6", "--json", "--no-timing"]) == 4
+    assert run(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"internal error: invariant broken in {module} "

@@ -142,7 +142,7 @@ def test_constructors_full_dimensional():
     for p in (constructors.pstar(8, 4), constructors.pstar(9, 5),
               constructors.dual_cyclic(7, 3), constructors.prism3(6),
               constructors.convex_polygon(6)):
-        assert geometry.is_full_dimensional(p)
+        assert faces.Analysis(p).lattice[-1].dim == p.dim
 
 
 def test_from_family_round_trip():

@@ -8,8 +8,7 @@ import pytest
 from conftest import square_pyramid
 from li2poly import constructors
 from li2poly.errors import InfeasibleError, UnboundedInputError
-from li2poly.geometry import (feasible_point, is_bounded, is_full_dimensional,
-                              redundant_constraints)
+from li2poly.geometry import feasible_point, is_bounded, redundant_constraints
 from lp_oracle import relative_interior_point
 from li2poly.model import Constraint, HPolytope, parse_hrep
 
@@ -66,9 +65,6 @@ def test_is_bounded_requires_nonempty():
 
 def test_feasible_point_and_full_dim(square):
     assert square.contains(feasible_point(square))
-    assert is_full_dimensional(square)
-    flat = parse_hrep("2 2\n1 0 0\n-1 0 0")  # the hyperplane x = 0
-    assert not is_full_dimensional(flat)
 
 
 def test_redundant_duplicate_keeps_lowest_index(square):

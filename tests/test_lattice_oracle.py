@@ -2,12 +2,14 @@
 
 faces.face_lattice closes candidate tight sets by intersecting vertex tight
 sets and ray zero sets. lp_oracle closes them through relative-interior
-witnesses and decides boundedness face by face with an exact program.
-Both must give the same (tight_set, dim, vertex_ids) on the acceptance
-instances and on random two-variable systems, and every lattice must
-satisfy the Euler relation. Separately, a face has no vertex_ids exactly
-when geometry.is_bounded fails on it; every face of a bounded polyhedron
-is bounded, so that check runs on unbounded instances only.
+witnesses and decides boundedness face by face with exact programs. Both
+must give the same (tight_set, dim, vertex_ids) on the acceptance
+instances, on the paper's larger instances and on random two-variable
+systems. Analysis.bounded, read off the vertex tight sets, must agree with
+the programs of geometry.is_bounded, and every lattice must satisfy the
+Euler relation for that boundedness. Separately, a face has no vertex_ids
+exactly when geometry.is_bounded fails on it; every face of a bounded
+polyhedron is bounded, so that check runs on unbounded instances only.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import square_pyramid
-from li2poly import constructors, faces
+from li2poly import constructors, faces, geometry
 from li2poly.model import Constraint, HPolytope, parse_hrep
 from li2poly.ratlin import dot, rank
 from lp_oracle import face_is_bounded, lp_face_lattice
@@ -82,8 +84,10 @@ def _lattice(p: HPolytope):
 def _check_against_oracle(p: HPolytope) -> None:
     lattice = _lattice(p)
     assert lattice == lp_face_lattice(p)
+    bounded = geometry.is_bounded(p)
+    assert faces.Analysis(p).bounded == bounded
     euler = sum((-1) ** dim for _, dim, _ in lattice)
-    assert euler == (1 if faces.Analysis(p).bounded else 0)
+    assert euler == (1 if bounded else 0)
 
 
 def _check_ray_coverage(p: HPolytope) -> None:
@@ -99,6 +103,16 @@ RANDOM = settings(max_examples=20, derandomize=True, deadline=None, database=Non
 @pytest.mark.parametrize("name", INSTANCES)
 def test_lattice_matches_lp_oracle(name):
     _check_against_oracle(INSTANCES[name]())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: constructors.pstar(12, 6),
+    lambda: constructors.pstar(13, 7),
+    lambda: constructors.dual_cyclic(10, 4),
+    lambda: constructors.dual_cyclic(9, 5),
+], ids=["pstar_12_6", "pstar_13_7", "dual_cyclic_10_4", "dual_cyclic_9_5"])
+def test_lattice_matches_lp_oracle_on_paper_instances(build):
+    _check_against_oracle(build())
 
 
 @pytest.mark.parametrize("name", ["pstar_7_3", "pyramid_cone"])
