@@ -6,8 +6,8 @@ convex polygon on each coordinate pair; its vertices pick one pair of
 cyclically consecutive edges per polygon.
 """
 
-from li2poly import (convex_polygon, dual_cyclic, enumerate_vertices,
-                     f_vector, prism3, pstar, serialize_hrep)
+from li2poly import (Analysis, convex_polygon, dual_cyclic, f_vector, prism3,
+                     pstar, serialize_hrep)
 from li2poly.formulas import dual_cyclic_f_vector, pstar_f_vector
 
 print("A pentagon, as an H-representation:")
@@ -15,7 +15,7 @@ print(serialize_hrep(convex_polygon(5)))
 
 print("pstar(8, 4): two quadrilaterals on the pairs (x1,x2) and (x3,x4)")
 p = pstar(8, 4)
-vertices = enumerate_vertices(p)
+vertices = Analysis(p).vertices
 print(f"  {p.n} rows in R^{p.dim}, {len(vertices)} vertices "
       f"(formula says (8/2)^2 = 16)")
 print(f"  one vertex and its tight rows: {vertices[0][0]} "

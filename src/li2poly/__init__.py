@@ -9,11 +9,11 @@ that oracle.
 
 from .constructors import convex_polygon, dual_cyclic, prism3, pstar
 from .faces import (Analysis, Face, analyze, edge_graph, enumerate_vertices,
-                    f_vector, face_lattice, facet_adjacency_count, is_simple)
+                    f_vector, face_lattice, facet_adjacency_count, is_simple,
+                    redundant_constraints)
 from .formulas import (fk_dual_cyclic, fk_pstar, gale_evenness_facet_count,
                        leading_terms, lemma41_bound, ratio_report,
                        thm42_bound, thm42_bound_literal)
-from .geometry import is_bounded, redundant_constraints
 from .hvector import (f_from_h, h_from_f, indegree_hvector,
                       objective_independence_check, strengthened_ubt_check)
 from .model import (Constraint, HPolytope, LI2Profile, li2_profile,
@@ -26,7 +26,7 @@ __all__ = [
     "convex_polygon", "pstar", "dual_cyclic", "prism3",
     "enumerate_vertices", "face_lattice", "f_vector",
     "facet_adjacency_count", "edge_graph", "is_simple",
-    "is_bounded", "redundant_constraints",
+    "redundant_constraints",
     "solve_linear_system", "affine_rank",
     "h_from_f", "f_from_h", "indegree_hvector",
     "objective_independence_check", "strengthened_ubt_check",

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands construct instances, enumerate faces, verify the closed-form
-counts against the brute-force oracle, and emit JSON/CSV reports. Machine
-output goes to stdout, human-readable errors to stderr.
+counts against the exact enumeration, report redundant rows, and emit
+JSON/CSV reports. Every enumerating command, `profile` included, goes
+through one faces.Analysis and its caps, and none runs a linear program.
+Machine output goes to stdout, human-readable errors to stderr.
 
 Exit codes: 0 success (and, for verify, all checks pass), 1 a verification
 check failed, 2 usage error, 3 input error (infeasible, unbounded where
@@ -21,7 +23,7 @@ import json
 import sys
 import time
 
-from . import constructors, faces, formulas, geometry, hvector, model
+from . import constructors, faces, formulas, hvector, model
 from .errors import InputError
 
 SCHEMA_VERSION = 1
@@ -239,7 +241,7 @@ def cmd_profile(args) -> int:
     redundant: list[int] | None = None
     exit_code = 0
     try:
-        redundant = sorted(geometry.redundant_constraints(p))
+        redundant = sorted(faces.Analysis(p).redundant)
         if redundant:
             warnings.append(
                 "redundant rows present; the separation bounds assume a "

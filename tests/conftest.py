@@ -1,10 +1,16 @@
-"""Shared instances and cached heavy computations for the test suite."""
+"""Shared instances, random systems and cached heavy computations for the
+test suite."""
 
+from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import HealthCheck, assume, settings
+from hypothesis import strategies as st
 
 from li2poly import constructors, faces, model
+from li2poly.model import Constraint, HPolytope
+from li2poly.ratlin import dot, rank
 
 
 def unit_square() -> model.HPolytope:
@@ -31,6 +37,61 @@ def simplex3() -> model.HPolytope:
 0 -1 0 0
 0 0 -1 0
 1 1 1 1""")
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+SCALES = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2)])
+
+
+@st.composite
+def two_variable_systems(draw, equalities: int = 0) -> HPolytope:
+    """A feasible pointed system in d <= 4 variables, two per row at most.
+
+    Rows on random variable pairs and single-variable bounds all hold at
+    one integer point, with zero slack often enough to make degenerate
+    vertices. `equalities` more rows on random pairs pass through the point
+    in both directions, which makes most draws lower-dimensional. Some rows
+    are duplicated; every row is then scaled by a positive factor and the
+    rows are permuted.
+    """
+    d = draw(st.integers(2, 4))
+    point = [Fraction(draw(st.integers(-2, 2))) for _ in range(d)]
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                             unique=True))
+        coeffs = [Fraction(0)] * d
+        coeffs[i], coeffs[j] = draw(SMALL), draw(SMALL)
+        rows.append(coeffs)
+    for _ in range(draw(st.integers(0, d + 1))):
+        coeffs = [Fraction(0)] * d
+        coeffs[draw(st.integers(0, d - 1))] = Fraction(draw(st.sampled_from([-1, 1])))
+        rows.append(coeffs)
+    constraints = [Constraint(tuple(r), dot(r, point) + draw(st.integers(0, 2)))
+                   for r in rows if any(r)]
+    for _ in range(equalities):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                             unique=True))
+        coeffs = [Fraction(0)] * d
+        coeffs[i], coeffs[j] = draw(SMALL), draw(SMALL)
+        rhs = dot(coeffs, point)
+        constraints += [Constraint(tuple(coeffs), rhs),
+                        Constraint(tuple(-a for a in coeffs), -rhs)]
+    assume(constraints)
+    for _ in range(draw(st.integers(0, 2))):
+        constraints.append(draw(st.sampled_from(constraints)))
+    scaled = []
+    for c in constraints:
+        s = draw(SCALES)
+        scaled.append(Constraint(tuple(s * a for a in c.coeffs), s * c.rhs))
+    p = HPolytope(d, tuple(draw(st.permutations(scaled))))
+    assume(rank(p.rows()) == d)
+    return p
+
+
+RANDOM = settings(max_examples=20, derandomize=True, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.filter_too_much,
+                                         HealthCheck.too_slow])
 
 
 @cache

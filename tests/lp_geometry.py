@@ -1,16 +1,17 @@
 """Exact geometric predicates backed by the rational simplex.
 
 Feasibility, boundedness and redundancy are each decided by a few exact
-linear programs over the whole system. They serve the redundancy scan of
-`profile` and faces.facet_adjacency_count; faces.Analysis runs none of them.
+linear programs over the whole system. They are the reference that
+faces.Analysis.bounded and faces.redundant_rows, which read the same
+answers off the double-description incidences, are checked against.
 """
 
 from __future__ import annotations
 
-from .errors import InfeasibleError, UnboundedInputError
-from .model import HPolytope
-from .ratlin import ONE, ZERO, Vec
-from .simplex import OPTIMAL, max_min_slack, solve_lp_max
+from li2poly.errors import InfeasibleError, UnboundedInputError
+from li2poly.model import HPolytope
+from li2poly.ratlin import ONE, ZERO, Vec
+from lp_simplex import OPTIMAL, max_min_slack, solve_lp_max
 
 
 def feasible_point(p: HPolytope) -> Vec | None:

@@ -1,11 +1,13 @@
 """Reference face lattice by linear programming, for differential tests.
 
 faces.face_lattice closes each candidate tight set by set algebra over
-vertex and ray incidences. This module closes it the independent way: an
-exact program finds a point in the relative interior of the candidate's
-face, and the rows tight there form the closed tight set. Every face of a
+vertex and ray incidences. This module closes it the independent way: the
+vertices come from the subset scan of scan_oracle, not from the
+double-description kernel, an exact program finds a point in the relative
+interior of each candidate's face, and the rows tight there form the
+closed tight set. Every face of a
 bounded polyhedron is bounded; on an unbounded one, faces are tested by
-geometry.is_bounded with the face's rows turned into equalities, and the
+lp_geometry.is_bounded with the face's rows turned into equalities, and the
 face order passes each answer on to the faces it settles, so no recession
 ray list is involved.
 """
@@ -15,11 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from li2poly.faces import enumerate_vertices
-from li2poly.geometry import is_bounded
 from li2poly.model import Constraint, HPolytope
 from li2poly.ratlin import Vec, dot, rank, solve_affine
-from li2poly.simplex import UNBOUNDED, max_min_slack, solve_lp_max
+from lp_geometry import is_bounded
+from lp_simplex import UNBOUNDED, max_min_slack, solve_lp_max
+from scan_oracle import scan_vertices
 
 
 def relative_interior_point(p: HPolytope, tight: frozenset[int] | set[int]
@@ -120,7 +122,7 @@ def lp_face_lattice(p: HPolytope
     """(tight_set, dim, vertex_ids) of every nonempty face, sorted like
     faces.face_lattice, with each candidate closed through a witness."""
     d = p.dim
-    vertices = enumerate_vertices(p)
+    vertices = scan_vertices(p)
     candidates = {frozenset(sub) for _, tight in vertices
                   for size in range(min(d, len(tight)) + 1)
                   for sub in combinations(sorted(tight), size)}

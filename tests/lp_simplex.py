@@ -1,4 +1,5 @@
-"""Exact two-phase simplex for inequality systems over the rationals.
+"""Exact two-phase simplex for inequality systems over the rationals: the
+LP reference behind lp_geometry and lp_oracle.
 
 Solves  maximize c.x  subject to  A x <= b  with x unrestricted in sign.
 Free variables are split into positive parts, rows get slack variables,
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratlin import ONE, ZERO, Vec
+from li2poly.ratlin import ONE, ZERO, Vec
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"

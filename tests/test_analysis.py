@@ -1,5 +1,5 @@
-"""One Analysis per polytope: build and program counts, shared-versus-fresh
-agreement, empty and non-pointed inputs, caps."""
+"""One Analysis per polytope: build counts and no linear program,
+shared-versus-fresh agreement, empty and non-pointed inputs, caps."""
 
 import sys
 import time
@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import square_pyramid
-from li2poly import constructors, faces, geometry, hvector, model, simplex
+from li2poly import constructors, faces, hvector, model
 from li2poly.cli import run
 from li2poly.errors import (CapExceededError, InfeasibleError, LI2PolyError,
                             NonPointedError, NotSimpleError, UnboundedInputError)
@@ -32,8 +32,8 @@ def _count_calls(monkeypatch, functions) -> dict[str, int]:
     return counts
 
 
-WORKERS = (faces.face_lattice, faces.enumerate_vertices,
-           faces.recession_ray_candidates)
+WORKERS = (faces.face_lattice, faces.enumerate_vertices)
+LP_MODULES = ("li2poly.simplex", "li2poly.geometry")
 
 
 def _write(tmp_path, p: model.HPolytope) -> str:
@@ -53,21 +53,19 @@ def test_commands_build_each_result_once_and_run_no_program(monkeypatch, capsys,
                                                             tmp_path, argv):
     if argv[0] == "fvector":
         argv = argv + [_write(tmp_path, constructors.pstar(9, 5))]
-    counts = _count_calls(monkeypatch,
-                          WORKERS + (simplex.solve_lp_max, geometry.is_bounded))
+    counts = _count_calls(monkeypatch, WORKERS)
     assert run(argv) == 0
     capsys.readouterr()
     assert counts == {"li2poly.faces.face_lattice": 1,
-                      "li2poly.faces.enumerate_vertices": 1,
-                      "li2poly.faces.recession_ray_candidates": 1,
-                      "li2poly.simplex.solve_lp_max": 0,
-                      "li2poly.geometry.is_bounded": 0}
+                      "li2poly.faces.enumerate_vertices": 1}
+    assert not any(name in sys.modules for name in LP_MODULES)
 
 
-def test_facet_adjacency_runs_one_boundedness_program(monkeypatch):
-    counts = _count_calls(monkeypatch, [geometry.is_bounded])
+def test_facet_adjacency_runs_no_program(monkeypatch):
+    counts = _count_calls(monkeypatch, WORKERS + (faces.redundant_rows,))
     assert faces.facet_adjacency_count(constructors.convex_polygon(5)) == 5
-    assert counts == {"li2poly.geometry.is_bounded": 1}
+    assert set(counts.values()) == {1}
+    assert not any(name in sys.modules for name in LP_MODULES)
 
 
 EMPTY = "2 1\n1 -2\n-1 1"  # x <= -2 and x >= -1: pointed and empty
@@ -78,9 +76,11 @@ def test_empty_input_is_reported_empty(tmp_path, capsys):
     with pytest.raises(InfeasibleError, match=r"^polyhedron is empty$"):
         faces.Analysis(model.parse_hrep(EMPTY)).bounded
     path = _write(tmp_path, model.parse_hrep(EMPTY))
-    assert run(["hvector", "--in", path, "--seed", "0", "--no-timing"]) == 3
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: polyhedron is empty\n")
+    for argv in (["hvector", "--in", path, "--seed", "0", "--no-timing"],
+                 ["fvector", "--method", "enumerate", "--in", path, "--no-timing"]):
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: polyhedron is empty\n")
 
 
 @pytest.mark.parametrize("query", [faces.is_simple, faces.edge_graph,

@@ -6,6 +6,9 @@ import json
 import pytest
 
 from li2poly.cli import run
+from li2poly.errors import InputError
+from li2poly.model import parse_hrep
+from lp_geometry import redundant_constraints as lp_redundant_constraints
 
 
 def run_json(capsys, argv):
@@ -162,6 +165,51 @@ def test_profile_unbounded_input_exits_3(tmp_path, capsys):
     assert doc["redundant_indices"] is None
 
 
+def test_profile_lower_dimensional_matches_lp_scan(tmp_path, capsys):
+    # A flat square in R^3: z <= 0 and -z <= 0 pin z = 0, the scaled 2z <= 0
+    # repeats the first of them and x + y <= 5 is never tight.
+    text = ("8 3\n1 0 0 1\n-1 0 0 0\n0 1 0 1\n0 -1 0 0\n"
+            "0 0 1 0\n0 0 -1 0\n0 0 2 0\n1 1 0 5\n")
+    path = tmp_path / "flat.hrep"
+    path.write_text(text)
+    code, doc = run_json(capsys, ["profile", "--in", str(path)])
+    assert code == 0
+    assert doc["redundant_indices"] == sorted(
+        lp_redundant_constraints(parse_hrep(text))) == [6, 7]
+
+
+@pytest.mark.parametrize("text", [
+    "1 2\n-1 0 0\n",                # half-plane: not pointed
+    "2 2\n-1 0 0\n0 -1 0\n",       # quadrant: pointed, unbounded
+    "2 1\n1 -2\n-1 1\n",           # empty
+    "2 2\n0 1 -1\n0 -1 0\n",       # empty and not pointed
+], ids=["half_plane", "quadrant", "empty", "empty_strip"])
+def test_profile_without_bounded_input_keeps_lp_scan_warning(tmp_path, capsys,
+                                                            text):
+    path = tmp_path / "p.hrep"
+    path.write_text(text)
+    with pytest.raises(InputError) as lp_error:
+        lp_redundant_constraints(parse_hrep(text))
+    code, doc = run_json(capsys, ["profile", "--in", str(path)])
+    assert code == 3
+    assert doc["redundant_indices"] is None
+    assert doc["warnings"] == [f"redundancy scan skipped: {lp_error.value}"]
+
+
+def test_profile_over_cap_exits_3_with_profile(tmp_path, capsys):
+    path = tmp_path / "dc.hrep"
+    assert run(["construct", "dualcyclic", "--n", "25", "--d", "4",
+                "--out", str(path)]) == 0
+    code, doc = run_json(capsys, ["profile", "--in", str(path)])
+    assert code == 3
+    assert (doc["n"], doc["d"], doc["is_li2"]) == (25, 4, False)
+    assert doc["redundant_indices"] is None
+    assert doc["warnings"] == [
+        "redundancy scan skipped: n=25, d=4 exceeds the default caps n<=24, "
+        "d<=7 (C(25,4) = 12650 subsystems of 4 rows bound the vertex count); "
+        "pass max_subsets to override"]
+
+
 def test_report_ratio_csv(capsys):
     assert run(["report", "ratio", "--d", "4", "--k", "0", "--n-start", "8",
                 "--n-end", "16", "--step", "4", "--csv"]) == 0
@@ -221,8 +269,8 @@ def test_verify_reports_failed_separation_at_triangle_factors(capsys):
 
 
 @pytest.mark.parametrize("module, attr", [
-    ("geometry", "solve_lp_max"),      # simplex, as geometry calls it
-    ("faces", "recession_ray_candidates"),
+    ("faces", "redundant_rows"),
+    ("faces", "face_lattice"),
     ("faces", "enumerate_vertices"),
     ("formulas", "fk_dual_cyclic"),
 ])
@@ -231,7 +279,7 @@ def test_internal_error_exits_4(monkeypatch, capsys, tmp_path, module, attr):
         raise AssertionError(f"invariant broken in {module}\nsecond line")
 
     argv = ["verify", "prism3", "--n", "6", "--json", "--no-timing"]
-    if module == "geometry":  # verify runs no program; profile's redundancy scan does
+    if attr == "redundant_rows":  # verify never reads redundancy; profile does
         path = str(tmp_path / "prism.hrep")
         assert run(["construct", "prism3", "--n", "6", "--out", path]) == 0
         argv = ["profile", "--in", path]

@@ -2,9 +2,10 @@
 
 import pytest
 
-from li2poly import constructors, faces, geometry, model
+from li2poly import constructors, faces, model
 from li2poly.errors import DivisibilityError
 from li2poly.ratlin import ZERO
+from lp_geometry import is_bounded
 
 
 def test_polygon_triangle_f_vector():
@@ -21,7 +22,7 @@ def test_polygon_five_gon_structure():
 
 def test_polygon_each_edge_tight_on_two_vertices():
     p = constructors.convex_polygon(4)
-    vertices = faces.enumerate_vertices(p)
+    vertices = faces.Analysis(p).vertices
     for i in range(p.n):
         assert sum(1 for _, tight in vertices if i in tight) == 2
 
@@ -52,7 +53,7 @@ def test_pstar_counts_match_vertex_formula():
 def test_pstar_odd_is_pointed_with_base_vertices():
     p = constructors.pstar(13, 7)
     assert p.n == 13
-    vertices = faces.enumerate_vertices(p)
+    vertices = faces.Analysis(p).vertices
     assert len(vertices) == 64  # ((13-1)/3)^3
     assert all(v[6] == 0 for v, _ in vertices)
 
@@ -83,7 +84,7 @@ def test_pstar_vertices_take_consecutive_pairs_per_polygon():
     m, half = n // (d // 2), d // 2
     p = constructors.pstar(n, d)
     combos = set()
-    for _, tight in faces.enumerate_vertices(p):
+    for _, tight in faces.Analysis(p).vertices:
         labels = sorted(p.constraints[i].label for i in tight)
         per_pair = []
         for i in range(half):
@@ -119,7 +120,7 @@ def test_dual_cyclic_rejects_small_n():
 
 def test_dual_cyclic_is_simple_and_bounded():
     p = constructors.dual_cyclic(8, 4)
-    assert geometry.is_bounded(p)
+    assert is_bounded(p)
     assert faces.is_simple(p)
 
 

@@ -34,7 +34,7 @@ def test_face_dims_match_tight_ranks(square):
 
 def test_pyramid_apex_tight_on_four():
     pyramid = square_pyramid()
-    vertices = faces.enumerate_vertices(pyramid)
+    vertices = faces.Analysis(pyramid).vertices
     assert len(vertices) == 5
     sizes = sorted(len(t) for _, t in vertices)
     assert sizes == [3, 3, 3, 3, 4]

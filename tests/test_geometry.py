@@ -1,5 +1,5 @@
-"""LP-backed predicates: boundedness, redundancy, and the interior witnesses
-of the reference oracle in lp_oracle."""
+"""The LP reference: boundedness and redundancy in lp_geometry, and the
+interior witnesses of lp_oracle."""
 
 from fractions import Fraction
 
@@ -8,9 +8,10 @@ import pytest
 from conftest import square_pyramid
 from li2poly import constructors
 from li2poly.errors import InfeasibleError, UnboundedInputError
-from li2poly.geometry import feasible_point, is_bounded, redundant_constraints
-from lp_oracle import relative_interior_point
 from li2poly.model import Constraint, HPolytope, parse_hrep
+from lp_geometry import feasible_point, is_bounded, redundant_constraints
+from lp_oracle import relative_interior_point
+from scan_oracle import scan_vertices
 
 
 def test_relint_on_edge(square):
@@ -103,8 +104,6 @@ def test_relint_agrees_with_vertex_incidence_oracle():
     import random
     from itertools import combinations
 
-    from li2poly.faces import enumerate_vertices
-    from li2poly.model import Constraint, HPolytope
 
     rng = random.Random(202)
     for _ in range(25):
@@ -120,7 +119,7 @@ def test_relint_agrees_with_vertex_incidence_oracle():
             if any(coeffs):
                 rows.append((coeffs, Fraction(rng.randrange(0, 7))))
         p = HPolytope(m, tuple(Constraint(r, b) for r, b in rows))
-        vertices = enumerate_vertices(p)
+        vertices = scan_vertices(p)
         if not vertices:
             continue
         for size in range(0, m + 1):

@@ -6,22 +6,19 @@ witnesses and decides boundedness face by face with exact programs. Both
 must give the same (tight_set, dim, vertex_ids) on the acceptance
 instances, on the paper's larger instances and on random two-variable
 systems. Analysis.bounded, read off the vertex tight sets, must agree with
-the programs of geometry.is_bounded, and every lattice must satisfy the
+the programs of lp_geometry.is_bounded, and every lattice must satisfy the
 Euler relation for that boundedness. Separately, a face has no vertex_ids
-exactly when geometry.is_bounded fails on it; every face of a bounded
+exactly when lp_geometry.is_bounded fails on it; every face of a bounded
 polyhedron is bounded, so that check runs on unbounded instances only.
 """
 
-from fractions import Fraction
-
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
-from conftest import square_pyramid
-from li2poly import constructors, faces, geometry
-from li2poly.model import Constraint, HPolytope, parse_hrep
-from li2poly.ratlin import dot, rank
+from conftest import RANDOM, square_pyramid, two_variable_systems
+from li2poly import constructors, faces
+from li2poly.model import HPolytope, parse_hrep
+from lp_geometry import is_bounded
 from lp_oracle import face_is_bounded, lp_face_lattice
 
 INSTANCES = {
@@ -37,46 +34,6 @@ INSTANCES = {
     "pyramid_cone": lambda: HPolytope(3, square_pyramid().constraints[1:]),
 }
 
-SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-SCALES = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2)])
-
-
-@st.composite
-def two_variable_systems(draw) -> HPolytope:
-    """A feasible pointed system in d <= 4 variables, two per row at most.
-
-    Rows on random variable pairs and single-variable bounds all hold at
-    one integer point, with zero slack often enough to make degenerate
-    vertices. Some rows are duplicated; every row is then scaled by a
-    positive factor and the rows are permuted.
-    """
-    d = draw(st.integers(2, 4))
-    point = [Fraction(draw(st.integers(-2, 2))) for _ in range(d)]
-    rows = []
-    for _ in range(draw(st.integers(1, 5))):
-        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
-                             unique=True))
-        coeffs = [Fraction(0)] * d
-        coeffs[i], coeffs[j] = draw(SMALL), draw(SMALL)
-        rows.append(coeffs)
-    for _ in range(draw(st.integers(0, d + 1))):
-        coeffs = [Fraction(0)] * d
-        coeffs[draw(st.integers(0, d - 1))] = Fraction(draw(st.sampled_from([-1, 1])))
-        rows.append(coeffs)
-    constraints = [Constraint(tuple(r), dot(r, point) + draw(st.integers(0, 2)))
-                   for r in rows if any(r)]
-    assume(constraints)
-    for _ in range(draw(st.integers(0, 2))):
-        constraints.append(draw(st.sampled_from(constraints)))
-    scaled = []
-    for c in constraints:
-        s = draw(SCALES)
-        scaled.append(Constraint(tuple(s * a for a in c.coeffs), s * c.rhs))
-    p = HPolytope(d, tuple(draw(st.permutations(scaled))))
-    assume(rank(p.rows()) == d)
-    return p
-
-
 def _lattice(p: HPolytope):
     return [(f.tight_set, f.dim, f.vertex_ids) for f in faces.Analysis(p).lattice]
 
@@ -84,7 +41,7 @@ def _lattice(p: HPolytope):
 def _check_against_oracle(p: HPolytope) -> None:
     lattice = _lattice(p)
     assert lattice == lp_face_lattice(p)
-    bounded = geometry.is_bounded(p)
+    bounded = is_bounded(p)
     assert faces.Analysis(p).bounded == bounded
     euler = sum((-1) ** dim for _, dim, _ in lattice)
     assert euler == (1 if bounded else 0)
@@ -93,11 +50,6 @@ def _check_against_oracle(p: HPolytope) -> None:
 def _check_ray_coverage(p: HPolytope) -> None:
     for tight_set, _, vertex_ids in _lattice(p):
         assert (vertex_ids is None) == (not face_is_bounded(p, tight_set))
-
-
-RANDOM = settings(max_examples=20, derandomize=True, deadline=None, database=None,
-                  suppress_health_check=[HealthCheck.filter_too_much,
-                                         HealthCheck.too_slow])
 
 
 @pytest.mark.parametrize("name", INSTANCES)

@@ -3,8 +3,8 @@
 from fractions import Fraction
 
 from li2poly.ratlin import vec
-from li2poly.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, max_min_slack,
-                             solve_lp_max)
+from lp_simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, max_min_slack,
+                        solve_lp_max)
 
 F = Fraction
 
@@ -89,9 +89,9 @@ def test_optimum_matches_vertex_enumeration_on_random_boxed_lps():
     # only relies on linear solving, not on the simplex.
     import random
 
-    from li2poly.faces import enumerate_vertices
     from li2poly.model import Constraint, HPolytope
     from li2poly.ratlin import dot
+    from scan_oracle import scan_vertices
 
     rng = random.Random(31)
     for _ in range(60):
@@ -109,7 +109,7 @@ def test_optimum_matches_vertex_enumeration_on_random_boxed_lps():
         c = tuple(F(rng.randrange(-5, 6)) for _ in range(m))
         res = solve_lp_max(c, [r for r, _ in rows], [b for _, b in rows])
         p = HPolytope(m, tuple(Constraint(r, b) for r, b in rows))
-        vertices = enumerate_vertices(p)
+        vertices = scan_vertices(p)
         if not vertices:
             assert res.status == INFEASIBLE
             continue
