@@ -18,7 +18,6 @@ from .hvector import (f_from_h, h_from_f, indegree_hvector,
                       objective_independence_check, strengthened_ubt_check)
 from .model import (Constraint, HPolytope, LI2Profile, li2_profile,
                     parse_hrep, serialize_hrep)
-from .ratlin import affine_rank, solve_linear_system
 
 __all__ = [
     "Constraint", "HPolytope", "LI2Profile", "Face", "Analysis", "analyze",
@@ -27,7 +26,6 @@ __all__ = [
     "enumerate_vertices", "face_lattice", "f_vector",
     "facet_adjacency_count", "edge_graph", "is_simple",
     "redundant_constraints",
-    "solve_linear_system", "affine_rank",
     "h_from_f", "f_from_h", "indegree_hvector",
     "objective_independence_check", "strengthened_ubt_check",
     "fk_dual_cyclic", "fk_pstar", "leading_terms", "lemma41_bound",

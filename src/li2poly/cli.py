@@ -311,8 +311,8 @@ def cmd_report_ratio(args) -> int:
 
 def cmd_report_bounds(args) -> int:
     n, np_, d = args.n, args.n_prime, args.d
+    ridge = formulas.ridge_bound_report(n, np_, d)  # validates d >= 4 first
     deficit = formulas.two_variable_deficit(np_, d)
-    ridge = formulas.ridge_bound_report(n, np_, d)
     separation = formulas.separation_bound_reports(n, np_, d)
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -14,8 +14,10 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import formulas
-from .model import Constraint, FamilyTag, HPolytope
-from .ratlin import ONE, ZERO, Vec
+from .model import Constraint, FamilyTag, HPolytope, Vec
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def polygon_vertices(m: int) -> list[Vec]:

@@ -34,8 +34,7 @@ from math import comb, gcd, lcm
 
 from .errors import (CapExceededError, InfeasibleError, NonPointedError,
                      RedundantInputError, UnboundedInputError)
-from .model import Constraint, HPolytope
-from .ratlin import Vec, rank, solve_linear_system
+from .model import Constraint, HPolytope, Vec
 
 DEFAULT_N_CAP = 24
 DEFAULT_D_CAP = 7
@@ -70,7 +69,10 @@ def _integer_rows(p: HPolytope) -> list[IntVec]:
 
 def _independent(vectors, limit: int | None = None) -> list[int]:
     """Indices of the first maximal linearly independent subsequence of the
-    integer vectors (fraction-free elimination), stopping at `limit` picks."""
+    integer vectors, stopping at `limit` picks; without one, its length is
+    their rank. Fraction-free: each vector is reduced against the rows
+    picked so far by integer cross-multiplication, and each pick is divided
+    by its gcd."""
     echelon: list[tuple[int, list[int]]] = []
     picked: list[int] = []
     for k, v in enumerate(vectors):
@@ -97,6 +99,27 @@ def _primitive(v) -> IntVec:
     return tuple(x // g for x in v)
 
 
+def _start_cone(start: list[IntVec]) -> list[IntVec]:
+    """The primitive columns r_k of -S^-1, S the invertible integer matrix
+    with rows `start`. Fraction-free Gauss-Jordan on [S | -I] leaves
+    p_j x_j = m_j in row j, so r_k is (m_jk * L / p_j)_j, L = lcm(p_j)."""
+    m = len(start)
+    aug = [list(s) + [-1 if k == j else 0 for k in range(m)]
+           for j, s in enumerate(start)]
+    for c in range(m):
+        r = next(i for i in range(c, m) if aug[i][c])
+        aug[c], aug[r] = aug[r], aug[c]
+        pivot = aug[c]
+        for i in range(m):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = list(_primitive([x * pivot[c] - f * y
+                                          for x, y in zip(aug[i], pivot)]))
+    scale = lcm(*(aug[j][j] for j in range(m)))
+    return [_primitive([aug[j][m + k] * (scale // aug[j][j]) for j in range(m)])
+            for k in range(m)]
+
+
 def enumerate_vertices(p: HPolytope) -> list[Generator]:
     """The extreme rays of the homogenised cone, by double description.
 
@@ -105,9 +128,12 @@ def enumerate_vertices(p: HPolytope) -> list[Generator]:
     ray g[:d] when t = 0, and bit i of `zeros` is set iff row i is tight
     there (a_i.x = b_i at the vertex, a_i.y = 0 along the ray). Sorted by
     g. The pass starts from the simplicial cone on t >= 0 and the first d
-    independent rows, adds the other rows in index order and joins each
-    pair of rays on opposite sides of the new row that is adjacent: no
-    third ray is tight on every row both are tight on. Raises
+    independent rows: its d+1 rays, each tight on all of those rows but
+    one, are the columns of minus the inverse of their integer matrix,
+    which _start_cone finds by fraction-free Gauss-Jordan elimination. It
+    then adds the other rows in index order and joins each pair of rays on
+    opposite sides of the new row that is adjacent: no third ray is tight
+    on every row both are tight on. Raises
     NonPointedError when the lineality space is nonzero and InfeasibleError
     when there is no vertex.
     """
@@ -119,16 +145,10 @@ def enumerate_vertices(p: HPolytope) -> list[Generator]:
             "row rank below the ambient dimension: nonzero lineality space")
     # The row t >= 0 is bit n; ray k of the start cone is tight on every
     # start row but the k-th.
-    start = [tuple(map(Fraction, rows[i])) for i in basis]
-    start.append((Fraction(0),) * d + (Fraction(-1),))
+    rays = _start_cone([rows[i] for i in basis] + [(0,) * d + (-1,)])
     bits = [1 << i for i in basis] + [1 << n]
     everything = sum(bits)
-    rays: list[IntVec] = []
-    zeros: list[int] = []
-    for k, bit in enumerate(bits):
-        rhs = tuple(Fraction(-1 if j == k else 0) for j in range(d + 1))
-        rays.append(_primitive(_cleared(solve_linear_system(tuple(start), rhs))))
-        zeros.append(everything & ~bit)
+    zeros = [everything & ~bit for bit in bits]
     chosen = set(basis)
     for i in (i for i in range(n) if i not in chosen):
         h, bit = rows[i], 1 << i
@@ -242,13 +262,16 @@ def face_lattice(a: Analysis) -> list[Face]:
     tight sets. The face of a candidate S holds the vertices whose tight
     set contains S and the rays whose zero set {i : a_i.y = 0} contains S;
     its closed tight set is the intersection of those sets, and faces are
-    deduplicated by it. Faces are returned sorted by (dim, tight_set).
+    deduplicated by it. The face's dimension is d minus the rank of the
+    integer normals of its closed tight set. Faces are returned sorted by
+    (dim, tight_set).
     Vertices and rays come from the analysis, which also applies the caps.
     This is the builder behind Analysis.lattice: each call builds a new
     lattice, so read analyze(p).lattice for the cached one.
     """
     p, d = a.p, a.p.dim
     vertices = a.vertices
+    normals = [r[:-1] for r in _integer_rows(p)]
     candidates: set[frozenset[int]] = set()
     for _, tight in vertices:
         base = sorted(tight)
@@ -267,7 +290,7 @@ def face_lattice(a: Analysis) -> list[Face]:
         closed = frozenset.intersection(*(vertices[v][1] for v in vertex_ids), *zeros)
         if closed in faces:
             continue
-        fdim = d - rank([p.constraints[i].coeffs for i in sorted(closed)])
+        fdim = d - len(_independent([normals[i] for i in sorted(closed)]))
         faces[closed] = Face(closed, fdim, None if zeros else frozenset(vertex_ids))
     return sorted(faces.values(), key=lambda f: (f.dim, sorted(f.tight_set)))
 

@@ -20,8 +20,7 @@ from typing import Sequence
 from .errors import GenericObjectiveError, NotSimpleError
 from .faces import Analysis, analyze
 from .formulas import binom, dual_cyclic_f_vector
-from .model import HPolytope
-from .ratlin import Vec, dot
+from .model import HPolytope, Vec, dot
 
 HVector = tuple[int, ...]
 

@@ -9,8 +9,8 @@ round-trips. The text format is deliberately plain:
     n d
     <d coefficients and one right-hand side per row, rationals like 2, -7, 3/4>
 
-Everything here is immutable after construction and safe to share between
-concurrent enumeration workers.
+Points and coefficient vectors are tuples of Fraction (Vec), so every
+comparison is exact. Everything here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -18,14 +18,22 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import HRepParseError
-from .ratlin import Vec, dot
+
+Vec = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 _FAMILY_RE = re.compile(r"^#\s*family:\s*(\w+)\s+n=(\d+)\s+d=(\d+)\s*$")
 
 FAMILY_NAMES = ("pstar", "dualcyclic", "prism3", "polygon")
+
+
+def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    if len(u) != len(v):
+        raise ValueError("dimension mismatch")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -127,10 +135,9 @@ def li2_profile(p: HPolytope) -> LI2Profile:
 def _parse_rational(token: str, line: int) -> Fraction:
     if not _RATIONAL_RE.match(token):
         raise HRepParseError(f"malformed rational {token!r}", line)
-    value = Fraction(token)
     if "/" in token and int(token.split("/")[1]) == 0:
         raise HRepParseError(f"zero denominator in {token!r}", line)
-    return value
+    return Fraction(token)
 
 
 def parse_hrep(text: str | bytes) -> HPolytope:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from li2poly import constructors, faces, model
 from li2poly.model import Constraint, HPolytope
-from li2poly.ratlin import dot, rank
+from fraction_linalg import dot, rank
 
 
 def unit_square() -> model.HPolytope:

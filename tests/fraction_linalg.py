@@ -1,9 +1,12 @@
-"""Exact rational vectors, matrices, and linear solving.
+"""Reference rational linear algebra for the test oracles.
 
-All scalars are fractions.Fraction: arbitrary precision, always in lowest
-terms with positive denominator, so equality tests are exact and there is
-no rounding anywhere. Vectors and matrices are plain tuples, which makes
-them immutable, hashable, and safe to share between workers.
+Exact vectors, matrices, solving and rank on fractions.Fraction: arbitrary
+precision, always in lowest terms with positive denominator, so equality
+tests are exact and there is no rounding anywhere. Vectors and matrices
+are plain tuples. The package itself eliminates on integers only
+(faces._independent); scan_oracle, lp_oracle, lp_geometry and lp_simplex
+use this module instead, so they share no linear algebra with the kernel
+they check.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from li2poly.errors import InfeasibleError, UnboundedInputError
 from li2poly.model import HPolytope
-from li2poly.ratlin import ONE, ZERO, Vec
+from fraction_linalg import ONE, ZERO, Vec
 from lp_simplex import OPTIMAL, max_min_slack, solve_lp_max
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from li2poly.model import Constraint, HPolytope
-from li2poly.ratlin import Vec, dot, rank, solve_affine
+from fraction_linalg import Vec, dot, rank, solve_affine
 from lp_geometry import is_bounded
 from lp_simplex import UNBOUNDED, max_min_slack, solve_lp_max
 from scan_oracle import scan_vertices

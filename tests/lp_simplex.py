@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from li2poly.ratlin import ONE, ZERO, Vec
+from fraction_linalg import ONE, ZERO, Vec
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"

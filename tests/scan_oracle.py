@@ -13,7 +13,7 @@ from itertools import combinations
 
 from li2poly.errors import NonPointedError
 from li2poly.model import HPolytope
-from li2poly.ratlin import ZERO, Vec, dot, rank, solve_affine, solve_linear_system
+from fraction_linalg import ZERO, Vec, dot, rank, solve_affine, solve_linear_system
 
 
 def scan_vertices(p: HPolytope) -> list[tuple[Vec, frozenset[int]]]:

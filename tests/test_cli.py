@@ -82,6 +82,15 @@ def test_fvector_missing_file_exits_3(capsys):
     capsys.readouterr()
 
 
+def test_fvector_zero_denominator_exits_3(tmp_path, capsys):
+    path = tmp_path / "zero.hrep"
+    path.write_text("1 1\n1 1/0\n")
+    assert run(["fvector", "--in", str(path), "--method", "enumerate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: zero denominator in '1/0'\n"
+
+
 def test_hvector_repeat_agrees(tmp_path, capsys):
     path = tmp_path / "sq.hrep"
     assert run(["construct", "polygon", "--n", "6", "--out", str(path)]) == 0
@@ -255,6 +264,15 @@ def test_report_bounds(capsys):
     per_k = {row["k"]: row for row in doc["per_k"]}
     assert per_k[2]["bound_proof_chain"] == "1535"
     assert per_k[2]["bound_literal"] == "1415"
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_report_bounds_small_d_exits_3(capsys, d):
+    assert run(["report", "bounds", "--n", "12", "--n-prime", "12",
+                "--d", str(d)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the ridge bound assumes d >= 4\n"
 
 
 def test_verify_reports_failed_separation_at_triangle_factors(capsys):

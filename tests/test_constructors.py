@@ -4,7 +4,7 @@ import pytest
 
 from li2poly import constructors, faces, model
 from li2poly.errors import DivisibilityError
-from li2poly.ratlin import ZERO
+from fraction_linalg import ZERO
 from lp_geometry import is_bounded
 
 

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fraction_linalg
 from conftest import cached_f_vector, square_pyramid, unit_square
 from li2poly import constructors, faces
 from li2poly.errors import (CapExceededError, NonPointedError,
@@ -181,3 +184,36 @@ def test_one_dimensional_segment():
     assert faces.f_vector(p) == (2, 1)
     points, edges = faces.edge_graph(p)
     assert len(points) == 2 and edges == [(0, 1)]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 8 columns of entries up to 2^40, with duplicate, scaled, zero
+    and summed rows mixed in, so the rank is often below the row count."""
+    cols = draw(st.integers(1, 8))
+    entry = st.integers(-2 ** 40, 2 ** 40) | st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["duplicate", "scaled", "zero", "sum"]))
+        if kind == "zero" or not rows:
+            rows.append([0] * cols)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "scaled":
+            scale = draw(st.integers(-2 ** 20, 2 ** 20).filter(bool))
+            rows.append([scale * x for x in draw(st.sampled_from(rows))])
+        else:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + y for x, y in zip(u, v)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(integer_matrices())
+def test_integer_rank_matches_fraction_rank(rows):
+    # faces._independent is the package's rank; each lattice face's
+    # dimension is d minus its length on the face's normals.
+    picked = faces._independent([tuple(r) for r in rows])
+    assert len(picked) == fraction_linalg.rank(fraction_linalg.mat(rows))
+    chosen = [rows[i] for i in picked]
+    assert fraction_linalg.rank(fraction_linalg.mat(chosen)) == len(picked)

@@ -8,7 +8,7 @@ from conftest import (cached_analysis, cached_f_vector, simplex3,
                       square_pyramid, unit_square)
 from li2poly import constructors, faces, hvector
 from li2poly.errors import GenericObjectiveError, NotSimpleError
-from li2poly.ratlin import ZERO, dot
+from fraction_linalg import ZERO, dot
 
 
 def test_h_from_f_simplex():

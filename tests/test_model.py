@@ -43,6 +43,13 @@ def test_parse_malformed_rational():
         parse_hrep("1 1\n1/-2 2")
 
 
+def test_parse_zero_denominator_names_line_and_token():
+    with pytest.raises(HRepParseError) as err:
+        parse_hrep("1 1\n1 1/0")
+    assert str(err.value) == "line 2: zero denominator in '1/0'"
+    assert err.value.line == 2
+
+
 def test_parse_trailing_data_rejected():
     with pytest.raises(HRepParseError, match="trailing"):
         parse_hrep("1 2\n1 0 1\n0 1 1")

@@ -1,6 +1,7 @@
-"""The package runs no linear program: every subcommand runs without the
-LP code, which lives in the test suite as the reference, and the suite
-itself collects without errors."""
+"""The package runs no linear program and no Fraction elimination: every
+subcommand runs without the LP code and the Fraction linear algebra, which
+live in the test suite as the reference, and the suite itself collects
+without errors."""
 
 import importlib
 import importlib.util
@@ -14,7 +15,7 @@ import li2poly
 from li2poly.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
-LP_MODULES = ("simplex", "geometry")
+ABSENT_MODULES = ("simplex", "geometry", "ratlin")
 
 
 def test_every_subcommand_runs_without_the_lp_modules(tmp_path, capsys):
@@ -33,12 +34,14 @@ def test_every_subcommand_runs_without_the_lp_modules(tmp_path, capsys):
     for argv in commands:
         assert run(argv) == 0, argv
     capsys.readouterr()
-    for name in LP_MODULES:
+    for name in ABSENT_MODULES:
         assert f"li2poly.{name}" not in sys.modules
         assert not hasattr(li2poly, name)
         assert importlib.util.find_spec(f"li2poly.{name}") is None
     for module_name in [m for m in sys.modules if m.startswith("li2poly.")]:
-        assert not hasattr(importlib.import_module(module_name), "solve_lp_max")
+        module = importlib.import_module(module_name)
+        assert not hasattr(module, "solve_lp_max")
+        assert not hasattr(module, "_row_reduce")
 
 
 def test_suite_collects_without_errors():

@@ -1,4 +1,5 @@
-"""Exact linear algebra: solving, rank, affine rank."""
+"""The Fraction reference linear algebra of the test oracles: solving, rank,
+affine rank."""
 
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from li2poly.ratlin import (affine_rank, mat, matvec, rank, solve_affine,
-                            solve_linear_system, vec)
+from fraction_linalg import (affine_rank, mat, matvec, rank, solve_affine,
+                             solve_linear_system, vec)
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from li2poly.ratlin import vec
+from fraction_linalg import vec
 from lp_simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, max_min_slack,
                         solve_lp_max)
 
@@ -90,7 +90,7 @@ def test_optimum_matches_vertex_enumeration_on_random_boxed_lps():
     import random
 
     from li2poly.model import Constraint, HPolytope
-    from li2poly.ratlin import dot
+    from fraction_linalg import dot
     from scan_oracle import scan_vertices
 
     rng = random.Random(31)
