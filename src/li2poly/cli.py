@@ -57,7 +57,8 @@ def _require_at_least(args, name: str, low: int) -> None:
     """Reject an integer option below `low`; an omitted option passes."""
     value = getattr(args, name)
     if value is not None and value < low:
-        raise UsageError(f"--{name} must be at least {low}, got {value}")
+        flag = name.replace("_", "-")
+        raise UsageError(f"--{flag} must be at least {low}, got {value}")
 
 
 def _build_instance(args) -> model.HPolytope:
@@ -75,14 +76,18 @@ def cmd_construct(args) -> int:
     p = _build_instance(args)
     text = model.serialize_hrep(p)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0
 
 
 def cmd_fvector(args) -> int:
+    _require_at_least(args, "max_subsets", 1)
     elapsed = _timer()
     p = _read_polytope(args.infile)
     if args.method == "formula":
@@ -90,6 +95,9 @@ def cmd_fvector(args) -> int:
             raise InputError(
                 "formula method requires a recognized family tag "
                 "('# family: NAME n=.. d=..') in the input file")
+        if (p.family.n, p.family.d) != (p.n, p.dim):
+            raise InputError(f"family tag n={p.family.n} d={p.family.d} does "
+                             f"not match the header n={p.n} d={p.dim}")
         f = constructors.FAMILIES[p.family.name].f_vector(p.family.n, p.family.d)
     else:
         f = faces.Analysis(p, args.max_subsets).f_vector
@@ -133,6 +141,7 @@ def cmd_hvector(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_at_least(args, "max_subsets", 1)
     total = _timer()
     timing: dict[str, float] = {}
     notes: list[str] = []

@@ -4,20 +4,20 @@ This module is the independent oracle the closed-form counts are checked
 against; it reads no formula. Vertices and extreme rays come from one
 integer double-description pass (Motzkin, Raiffa, Thompson & Thrall 1953;
 Fukuda & Prodon 1996) over the homogenised cone {(x, t) : a_i.x - b_i.t <= 0,
-t >= 0}: its extreme rays with t > 0 are the vertices, those with t = 0
-the extreme recession rays, so the polyhedron is bounded exactly when it
-has none of the latter. Each generator carries the bitset of rows it
-is tight on, and everything else is read from those incidences without a
-linear program.
+t >= 0}, started from the whole space, so the same pass finds emptiness
+and a lineality space: its extreme rays with t > 0 are the vertices, those
+with t = 0 the extreme recession rays, and the polyhedron is bounded
+exactly when it has none of the latter. Each generator carries the bitset
+of rows it is tight on, and everything else is read from those incidences
+without a linear program.
 
-Faces are identified by their closed tight sets: every nonempty face of a
-pointed polyhedron contains a vertex, hence its tight set is a subset of
-some vertex's tight set, so scanning subsets of vertex tight sets (up to
-size d) finds every face, including the unbounded ones. Each candidate is
-closed by set algebra alone: a face is the convex hull of its vertices
-plus the cone of its extreme rays, so the rows tight on all of it are the
-intersection of its vertices' tight sets and its rays' zero sets.
-Redundant rows are read from the same incidences (see redundant_rows).
+Faces are sets of generators: a face is the convex hull of its vertices
+plus the cone of its extreme rays, and it is cut out by the rows tight on
+all of it. Holding, for each row, the bitset of generators it is tight on,
+the lattice is closed under AND from P itself (Kaibel & Pfetsch 2002), and
+a face's closed tight set is the set of rows whose bitset contains it.
+Redundant rows are read from the same incidences, and the cone-membership
+test they need is one more run of the kernel (see redundant_rows).
 
 The query functions below and in hvector take an HPolytope or an
 Analysis; sharing one Analysis enumerates the polytope once. A work
@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import comb, gcd, lcm
 
 from .errors import (CapExceededError, InfeasibleError, NonPointedError,
@@ -91,33 +90,30 @@ def _independent(vectors, limit: int | None = None) -> list[int]:
 
 
 def _members(bits: int) -> frozenset[int]:
-    return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
+    """The positions of the set bits."""
+    out = []
+    while bits:
+        out.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    return frozenset(out)
+
+
+def _incidence(n: int, row_sets) -> list[int]:
+    """Bit k of entry i is set iff row i is in the k-th of the row sets."""
+    on_row = [0] * n
+    for k, rows in enumerate(row_sets):
+        for i in rows:
+            on_row[i] |= 1 << k
+    return on_row
+
+
+def _dot(u: IntVec, v: IntVec) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _primitive(v) -> IntVec:
     g = gcd(*v)
     return tuple(x // g for x in v)
-
-
-def _start_cone(start: list[IntVec]) -> list[IntVec]:
-    """The primitive columns r_k of -S^-1, S the invertible integer matrix
-    with rows `start`. Fraction-free Gauss-Jordan on [S | -I] leaves
-    p_j x_j = m_j in row j, so r_k is (m_jk * L / p_j)_j, L = lcm(p_j)."""
-    m = len(start)
-    aug = [list(s) + [-1 if k == j else 0 for k in range(m)]
-           for j, s in enumerate(start)]
-    for c in range(m):
-        r = next(i for i in range(c, m) if aug[i][c])
-        aug[c], aug[r] = aug[r], aug[c]
-        pivot = aug[c]
-        for i in range(m):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = list(_primitive([x * pivot[c] - f * y
-                                          for x, y in zip(aug[i], pivot)]))
-    scale = lcm(*(aug[j][j] for j in range(m)))
-    return [_primitive([aug[j][m + k] * (scale // aug[j][j]) for j in range(m)])
-            for k in range(m)]
 
 
 def enumerate_vertices(p: HPolytope) -> list[Generator]:
@@ -127,54 +123,60 @@ def enumerate_vertices(p: HPolytope) -> list[Generator]:
     integer vector, a vertex g[:d]/t when t > 0 and an extreme recession
     ray g[:d] when t = 0, and bit i of `zeros` is set iff row i is tight
     there (a_i.x = b_i at the vertex, a_i.y = 0 along the ray). Sorted by
-    g. The pass starts from the simplicial cone on t >= 0 and the first d
-    independent rows: its d+1 rays, each tight on all of those rows but
-    one, are the columns of minus the inverse of their integer matrix,
-    which _start_cone finds by fraction-free Gauss-Jordan elimination. It
-    then adds the other rows in index order and joins each pair of rays on
-    opposite sides of the new row that is adjacent: no third ray is tight
-    on every row both are tight on. Raises
-    NonPointedError when the lineality space is nonzero and InfeasibleError
-    when there is no vertex.
+    g. The pass starts from R^(d+1), spanned by d+1 unit lines, and adds
+    t >= 0, then the rows in index order. A line l that the new row cuts
+    becomes a ray on its feasible side, tight on every row seen so far, and
+    the other lines and rays are projected along l onto the row's
+    hyperplane. Once no line is cut, each adjacent pair of rays on opposite
+    sides of the row is joined: no third ray is tight on every row both are
+    tight on. Raises InfeasibleError when no ray has t > 0, and else
+    NonPointedError when a line is left.
     """
     d, n = p.dim, p.n
-    rows = _integer_rows(p)
-    basis = _independent([r[:d] for r in rows], d)
-    if len(basis) < d:
-        raise NonPointedError(
-            "row rank below the ambient dimension: nonzero lineality space")
-    # The row t >= 0 is bit n; ray k of the start cone is tight on every
-    # start row but the k-th.
-    rays = _start_cone([rows[i] for i in basis] + [(0,) * d + (-1,)])
-    bits = [1 << i for i in basis] + [1 << n]
-    everything = sum(bits)
-    zeros = [everything & ~bit for bit in bits]
-    chosen = set(basis)
-    for i in (i for i in range(n) if i not in chosen):
-        h, bit = rows[i], 1 << i
-        values = [sum(a * x for a, x in zip(h, r)) for r in rays]
-        plus = [k for k, v in enumerate(values) if v > 0]
-        minus = [k for k, v in enumerate(values) if v < 0]
-        new_rays, new_zeros = [], []
-        for a in plus:
-            for b in minus:
-                common = zeros[a] & zeros[b]
-                if common.bit_count() < d - 1:
-                    continue
-                if any(z & common == common for k, z in enumerate(zeros)
-                       if k != a and k != b):
-                    continue
-                va, vb = values[a], values[b]
-                new_rays.append(_primitive([va * y - vb * x
-                                            for x, y in zip(rays[a], rays[b])]))
-                new_zeros.append(common | bit)
-        for k, v in enumerate(values):
-            if v <= 0:
-                new_rays.append(rays[k])
-                new_zeros.append(zeros[k] | bit if v == 0 else zeros[k])
-        rays, zeros = new_rays, new_zeros
+    lines = [tuple(int(j == k) for j in range(d + 1)) for k in range(d + 1)]
+    rays, zeros, seen = [], [], 0
+    for i, h in [(n, (0,) * d + (-1,)), *enumerate(_integer_rows(p))]:
+        bit = 1 << i
+        line = next((l for l in lines if _dot(h, l)), None)
+        if line is not None:
+            lines.remove(line)
+            hl = _dot(h, line)
+            if hl > 0:
+                line, hl = tuple(-x for x in line), -hl
+            def project(x):  # x - (h.x / h.l) l, scaled by -h.l > 0: on h = 0
+                return _primitive([_dot(h, x) * y - hl * v for v, y in zip(x, line)])
+            lines = [project(l) for l in lines]
+            rays = [project(r) for r in rays] + [line]
+            zeros = [z | bit for z in zeros] + [seen]
+        else:
+            values = [_dot(h, r) for r in rays]
+            plus = [k for k, v in enumerate(values) if v > 0]
+            minus = [k for k, v in enumerate(values) if v < 0]
+            need = d - 1 - len(lines)  # rows two adjacent rays share, at least
+            new_rays, new_zeros = [], []
+            for a in plus:
+                for b in minus:
+                    common = zeros[a] & zeros[b]
+                    if common.bit_count() < need:
+                        continue
+                    if any(z & common == common for k, z in enumerate(zeros)
+                           if k != a and k != b):
+                        continue
+                    va, vb = values[a], values[b]
+                    new_rays.append(_primitive([va * y - vb * x for x, y
+                                                in zip(rays[a], rays[b])]))
+                    new_zeros.append(common | bit)
+            for k, v in enumerate(values):
+                if v <= 0:
+                    new_rays.append(rays[k])
+                    new_zeros.append(zeros[k] | bit if v == 0 else zeros[k])
+            rays, zeros = new_rays, new_zeros
+        seen |= bit
     if not any(r[-1] for r in rays):
         raise InfeasibleError("polyhedron is empty")
+    if lines:
+        raise NonPointedError(
+            "row rank below the ambient dimension: nonzero lineality space")
     rows_mask = (1 << n) - 1
     return sorted((r, z & rows_mask) for r, z in zip(rays, zeros))
 
@@ -190,8 +192,8 @@ class Analysis:
     from them directly, and `Fraction` vertices are built only for the
     lattice, the edge graph and the h-vectors. The caps are checked here,
     before any work: n <= 24, d <= 7 by default, or else C(n, d), which
-    bounds the number of vertices, and the lattice's candidate tight sets
-    must each fit in the explicit max_subsets budget.
+    bounds the number of vertices, and the lattice's faces must each fit
+    in the explicit max_subsets budget.
     """
     p: HPolytope
     max_subsets: int | None = None
@@ -258,67 +260,62 @@ def analyze(x: HPolytope | Analysis) -> Analysis:
 def face_lattice(a: Analysis) -> list[Face]:
     """Every nonempty face of a feasible pointed polyhedron, P itself included.
 
-    Candidate tight sets are the subsets (of size at most d) of vertex
-    tight sets. The face of a candidate S holds the vertices whose tight
-    set contains S and the rays whose zero set {i : a_i.y = 0} contains S;
-    its closed tight set is the intersection of those sets, and faces are
-    deduplicated by it. The face's dimension is d minus the rank of the
-    integer normals of its closed tight set. Faces are returned sorted by
-    (dim, tight_set).
-    Vertices and rays come from the analysis, which also applies the caps.
-    This is the builder behind Analysis.lattice: each call builds a new
-    lattice, so read analyze(p).lattice for the cached one.
+    A face is held as the bitset of generators on it: vertices at bits
+    0..V-1 in the order of the analysis's vertex list, extreme rays above.
+    Row i's bitset holds the generators it is tight on. Every face is P's
+    bitset ANDed with some row bitsets, so ANDing each face found with each
+    row, from P down, reaches them all; a result without a vertex is empty
+    (Kaibel & Pfetsch 2002). The closed tight set is the rows whose bitset
+    contains the face, and the dimension is d minus the rank of their
+    integer normals. Faces are returned sorted by (dim, tight_set). The
+    analysis supplies the generators and applies the caps. This is the
+    builder behind Analysis.lattice: each call builds a new lattice, so
+    read analyze(p).lattice for the cached one.
     """
     p, d = a.p, a.p.dim
     vertices = a.vertices
-    normals = [r[:-1] for r in _integer_rows(p)]
-    candidates: set[frozenset[int]] = set()
-    for _, tight in vertices:
-        base = sorted(tight)
-        for size in range(min(d, len(base)) + 1):
-            for sub in combinations(base, size):
-                candidates.add(frozenset(sub))
-                if a.max_subsets is not None and len(candidates) > a.max_subsets:
+    on_row = _incidence(p.n, [tight for _, tight in vertices]
+                        + [_members(z) for g, z in a.generators if not g[-1]])
+    on_vertex = (1 << len(vertices)) - 1
+    everything = (1 << len(a.generators)) - 1
+    found, stack = {everything}, [everything]
+    while stack:
+        face = stack.pop()
+        for bits in on_row:
+            sub = face & bits
+            if sub & on_vertex and sub not in found:
+                found.add(sub)
+                stack.append(sub)
+                if a.max_subsets is not None and len(found) > a.max_subsets:
                     raise CapExceededError(
                         f"candidate tight sets exceed max_subsets={a.max_subsets}")
 
-    ray_zeros = [_members(z) for g, z in a.generators if not g[-1]]
-    faces: dict[frozenset[int], Face] = {}
-    for cand in candidates:
-        vertex_ids = [vid for vid, (_, vt) in enumerate(vertices) if cand <= vt]
-        zeros = [z for z in ray_zeros if cand <= z]
-        closed = frozenset.intersection(*(vertices[v][1] for v in vertex_ids), *zeros)
-        if closed in faces:
-            continue
-        fdim = d - len(_independent([normals[i] for i in sorted(closed)]))
-        faces[closed] = Face(closed, fdim, None if zeros else frozenset(vertex_ids))
-    return sorted(faces.values(), key=lambda f: (f.dim, sorted(f.tight_set)))
-
-
-def _restricted(p: HPolytope) -> tuple[list[int], HPolytope | None]:
-    """The first independent columns J of A, and the system in the
-    variables J alone, None when A is zero. Ax = A_J z, so the system is
-    pointed, and empty iff p is."""
-    cols = _independent(list(zip(*(r[:-1] for r in _integer_rows(p)))))
-    if not cols:
-        return cols, None
-    return cols, HPolytope(len(cols), tuple(
-        Constraint(tuple(c.coeffs[j] for j in cols), c.rhs) for c in p.constraints))
+    normals = [r[:-1] for r in _integer_rows(p)]
+    lattice = []
+    for face in found:
+        tight = [i for i, bits in enumerate(on_row) if bits & face == face]
+        fdim = d - len(_independent([normals[i] for i in tight]))
+        vertex_ids = None if face >> len(vertices) else _members(face)
+        lattice.append(Face(frozenset(tight), fdim, vertex_ids))
+    return sorted(lattice, key=lambda f: (f.dim, sorted(f.tight_set)))
 
 
 def _in_cone(v: IntVec, gens: list[IntVec]) -> bool:
     """True iff v is a nonnegative combination of gens.
 
-    That needs v in span(gens). On the columns J that _restricted keeps,
-    the span maps one to one, and v is in the cone iff no extreme ray y of
-    the pointed polar cone {y : g_J.y <= 0} has v_J.y > 0.
+    By Farkas' lemma that holds iff no y has g.y <= 0 for every g and
+    v.y > 0, that is iff the system {g.y <= 0 for all g, v.y >= 1} is
+    empty, which the kernel decides.
     """
-    if len(_independent(list(gens) + [v])) > len(_independent(gens)):
-        return False
-    cols, polar = _restricted(HPolytope(len(v), tuple(
-        Constraint(tuple(map(Fraction, g)), Fraction(0)) for g in gens)))
-    return polar is None or all(sum(v[j] * y for j, y in zip(cols, g)) <= 0
-                                for g, _ in enumerate_vertices(polar))
+    farkas = [Constraint(tuple(map(Fraction, g)), Fraction(0)) for g in gens]
+    farkas.append(Constraint(tuple(Fraction(-x) for x in v), Fraction(-1)))
+    try:
+        enumerate_vertices(HPolytope(len(v), tuple(farkas)))
+    except InfeasibleError:
+        return True
+    except NonPointedError:
+        pass
+    return False
 
 
 def redundant_rows(a: Analysis) -> frozenset[int]:
@@ -340,21 +337,13 @@ def redundant_rows(a: Analysis) -> frozenset[int]:
     try:
         generators = a.generators
     except NonPointedError:
-        # Nonempty with a lineality space means unbounded; an empty system
-        # raises InfeasibleError here.
-        _, restricted = _restricted(p)
-        if restricted is not None:
-            enumerate_vertices(restricted)
-        elif any(c.rhs < 0 for c in p.constraints):
-            raise InfeasibleError("polyhedron is empty") from None
+        # The kernel reports emptiness first: this system is nonempty and
+        # has a lineality space.
         raise unbounded from None
     if not a.bounded:
         raise unbounded
     points = [g for g, _ in generators]
-    on_row = [0] * p.n
-    for k, (_, zeros) in enumerate(generators):
-        for i in _members(zeros):
-            on_row[i] |= 1 << k
+    on_row = _incidence(p.n, (_members(zeros) for _, zeros in generators))
     everywhere = (1 << len(points)) - 1
     dim = len(_independent(points)) - 1
     normals = [r[:-1] for r in _integer_rows(p)]

@@ -1,15 +1,15 @@
 """Reference face lattice by linear programming, for differential tests.
 
-faces.face_lattice closes each candidate tight set by set algebra over
-vertex and ray incidences. This module closes it the independent way: the
-vertices come from the subset scan of scan_oracle, not from the
-double-description kernel, an exact program finds a point in the relative
-interior of each candidate's face, and the rows tight there form the
-closed tight set. Every face of a
-bounded polyhedron is bounded; on an unbounded one, faces are tested by
-lp_geometry.is_bounded with the face's rows turned into equalities, and the
-face order passes each answer on to the faces it settles, so no recession
-ray list is involved.
+faces.face_lattice closes the lattice under AND of per-row bitsets of
+vertex and ray incidences. This module builds it the independent way: the
+candidates are the subsets of vertex tight sets, the vertices come from
+the subset scan of scan_oracle, not from the double-description kernel,
+an exact program finds a point in the relative interior of each
+candidate's face, and the rows tight there form the closed tight set.
+Every face of a bounded polyhedron is bounded; on an unbounded one, faces
+are tested by lp_geometry.is_bounded with the face's rows turned into
+equalities, and the face order passes each answer on to the faces it
+settles, so no recession ray list is involved.
 """
 
 from __future__ import annotations

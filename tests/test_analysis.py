@@ -70,17 +70,22 @@ def test_facet_adjacency_runs_no_program(monkeypatch):
 
 EMPTY = "2 1\n1 -2\n-1 1"  # x <= -2 and x >= -1: pointed and empty
 STRIP = "2 2\n0 1 1\n0 -1 0"  # 0 <= y <= 1: nonempty, not pointed
+EMPTY_STRIP = "2 2\n0 1 -1\n0 -1 0"  # 0 <= y <= -1: empty, not pointed
 
 
 def test_empty_input_is_reported_empty(tmp_path, capsys):
-    with pytest.raises(InfeasibleError, match=r"^polyhedron is empty$"):
-        faces.Analysis(model.parse_hrep(EMPTY)).bounded
-    path = _write(tmp_path, model.parse_hrep(EMPTY))
-    for argv in (["hvector", "--in", path, "--seed", "0", "--no-timing"],
-                 ["fvector", "--method", "enumerate", "--in", path, "--no-timing"]):
-        assert run(argv) == 3
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: polyhedron is empty\n")
+    # Emptiness is reported before a lineality space, so the empty strip
+    # gets the same message as the pointed empty system.
+    for text in (EMPTY, EMPTY_STRIP):
+        with pytest.raises(InfeasibleError, match=r"^polyhedron is empty$"):
+            faces.Analysis(model.parse_hrep(text)).bounded
+        path = _write(tmp_path, model.parse_hrep(text))
+        for argv in (["hvector", "--in", path, "--seed", "0", "--no-timing"],
+                     ["fvector", "--method", "enumerate", "--in", path,
+                      "--no-timing"]):
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: polyhedron is empty\n")
 
 
 @pytest.mark.parametrize("query", [faces.is_simple, faces.edge_graph,

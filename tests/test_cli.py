@@ -40,6 +40,14 @@ def test_construct_writes_family_comment(capsys):
     assert out.splitlines()[1] == "5 2"
 
 
+def test_construct_unwritable_out_exits_3(tmp_path, capsys):
+    path = tmp_path / "missing" / "p.hrep"
+    assert run(["construct", "polygon", "--n", "5", "--out", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+
+
 def test_construct_divisibility_violation_exits_3(capsys):
     assert run(["construct", "pstar", "--n", "10", "--d", "6"]) == 3
     err = capsys.readouterr().err
@@ -62,6 +70,10 @@ def test_usage_errors_exit_2(capsys):
     (["report", "ratio", "--d", "4", "--k", "0", "--n-start", "8",
       "--n-end", "8", "--step", "1", "--csv", "--decimal", "-2"],
      "--decimal must be at least 0, got -2"),
+    (["fvector", "--in", "unread.hrep", "--method", "enumerate",
+      "--max-subsets", "0"], "--max-subsets must be at least 1, got 0"),
+    (["verify", "pstar", "--n", "8", "--d", "4", "--max-subsets", "-3"],
+     "--max-subsets must be at least 1, got -3"),
 ])
 def test_integer_option_out_of_range_exits_2(capsys, argv, message):
     assert run(argv) == 2
@@ -75,6 +87,16 @@ def test_fvector_formula_requires_family_tag(tmp_path, capsys):
     path.write_text("2 2\n1 0 1\n0 1 1\n")
     assert run(["fvector", "--in", str(path), "--method", "formula"]) == 3
     assert "family" in capsys.readouterr().err
+
+
+def test_fvector_formula_rejects_mismatched_family_tag(tmp_path, capsys):
+    path = tmp_path / "mistagged.hrep"
+    path.write_text("# family: pstar n=12 d=6\n3 2\n1 0 1\n0 1 1\n-1 -1 0\n")
+    assert run(["fvector", "--in", str(path), "--method", "formula"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: family tag n=12 d=6 does not match the "
+                            "header n=3 d=2\n")
 
 
 def test_fvector_missing_file_exits_3(capsys):

@@ -7,8 +7,10 @@ double-description pass; scan_oracle solves every d-row subsystem and the
 vertices, rays and tight sets on the acceptance instances, on row
 permutations of each and on random two-variable systems. Where the scan
 takes 9-66 s, the vertex count is checked against the closed forms and
-the Gale evenness count instead. faces.redundant_constraints must give
-the same rows, or the same error, as the LP scan of lp_geometry.
+the Gale evenness count instead. On systems with a lineality space the
+kernel must report emptiness exactly where lp_geometry finds no point.
+faces.redundant_constraints must give the same rows, or the same error,
+as the LP scan of lp_geometry.
 """
 
 import random
@@ -16,11 +18,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import RANDOM, square_pyramid, two_variable_systems, unit_square
+from conftest import (RANDOM, SMALL, square_pyramid, two_variable_systems,
+                      unit_square)
 from li2poly import constructors, faces, formulas
-from li2poly.errors import LI2PolyError
+from li2poly.errors import InfeasibleError, LI2PolyError, NonPointedError
 from li2poly.model import Constraint, HPolytope, parse_hrep
+from lp_geometry import feasible_point
 from lp_geometry import redundant_constraints as lp_redundant_constraints
 from scan_oracle import recession_ray_candidates, scan_vertices
 
@@ -103,6 +108,34 @@ def test_kernel_vertex_count_matches_closed_forms(family, n, d):
     else:
         assert f0 == formulas.fk_dual_cyclic(n, d, 0)
         assert f0 == formulas.gale_evenness_facet_count(n, d)
+
+
+@st.composite
+def lifted_systems(draw) -> HPolytope:
+    """A two_variable_systems draw with one free variable inserted, so the
+    system has a lineality space; some draws also get a pair of rows on a
+    random variable pair that no point satisfies."""
+    p = draw(two_variable_systems())
+    d, k = p.dim + 1, draw(st.integers(0, p.dim))
+    rows = [Constraint(c.coeffs[:k] + (Fraction(0),) + c.coeffs[k:], c.rhs)
+            for c in p.constraints]
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                             unique=True))
+        coeffs = [Fraction(0)] * d
+        coeffs[i], coeffs[j] = draw(SMALL), draw(SMALL)
+        rhs = Fraction(draw(st.integers(-2, 2)))
+        rows += [Constraint(tuple(coeffs), rhs),
+                 Constraint(tuple(-a for a in coeffs), -rhs - 1)]
+    return HPolytope(d, tuple(draw(st.permutations(rows))))
+
+
+@RANDOM
+@given(lifted_systems())
+def test_kernel_reports_emptiness_before_lineality(p):
+    expected = InfeasibleError if feasible_point(p) is None else NonPointedError
+    with pytest.raises(expected):
+        faces.enumerate_vertices(p)
 
 
 def _outcome(query, p):

@@ -146,7 +146,7 @@ def test_caps_reject_oversized_input():
     with pytest.raises(CapExceededError, match=r"C\(25,2\) = 300 subsystems"):
         faces.Analysis(big, max_subsets=10)
     # The 3-cube fits its C(6,3) = 20 vertex subsystems into a budget of 20,
-    # but its lattice has 27 candidate tight sets (1 + 6 + 12 + 8).
+    # but its lattice has 27 faces (1 + 6 + 12 + 8).
     cube = parse_hrep("6 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n"
                       "-1 0 0 0\n0 -1 0 0\n0 0 -1 0")
     assert faces.f_vector(faces.Analysis(cube, max_subsets=27)) == (8, 12, 6, 1)

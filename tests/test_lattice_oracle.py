@@ -1,8 +1,9 @@
 """Differential tests: the incidence-built face lattice against the LP oracle.
 
-faces.face_lattice closes candidate tight sets by intersecting vertex tight
-sets and ray zero sets. lp_oracle closes them through relative-interior
-witnesses and decides boundedness face by face with exact programs. Both
+faces.face_lattice closes the lattice under AND of per-row bitsets of
+vertex and ray incidences. lp_oracle closes candidate tight sets through
+relative-interior witnesses and decides boundedness face by face with
+exact programs. Both
 must give the same (tight_set, dim, vertex_ids) on the acceptance
 instances, on the paper's larger instances and on random two-variable
 systems. Analysis.bounded, read off the vertex tight sets, must agree with
