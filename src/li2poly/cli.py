@@ -3,7 +3,8 @@
 Subcommands construct instances, enumerate faces, verify the closed-form
 counts against the exact enumeration, report redundant rows, and emit
 JSON/CSV reports. Every enumerating command, `profile` included, goes
-through one faces.Analysis and its caps, and none runs a linear program.
+through one faces.Analysis and its caps, and none runs a linear program;
+verify checks the caps before it builds its instance.
 Machine output goes to stdout, human-readable errors to stderr.
 
 Exit codes: 0 success (and, for verify, all checks pass), 1 a verification
@@ -61,19 +62,18 @@ def _require_at_least(args, name: str, low: int) -> None:
         raise UsageError(f"--{flag} must be at least {low}, got {value}")
 
 
-def _build_instance(args) -> model.HPolytope:
+def _family_tag(args) -> model.FamilyTag:
     """The constructor instance named by args.family, args.n and args.d."""
     fixed = constructors.FAMILIES[args.family].fixed_dim
     if fixed is None and args.d is None:
         raise UsageError(f"family {args.family!r} requires --d")
     if fixed is not None and args.d is not None and args.d != fixed:
         raise UsageError(f"family {args.family!r} is {fixed}-dimensional")
-    return constructors.from_family(
-        model.FamilyTag(args.family, args.n, fixed or args.d))
+    return model.FamilyTag(args.family, args.n, fixed or args.d)
 
 
 def cmd_construct(args) -> int:
-    p = _build_instance(args)
+    p = constructors.from_family(_family_tag(args))
     text = model.serialize_hrep(p)
     if args.out:
         try:
@@ -145,7 +145,9 @@ def cmd_verify(args) -> int:
     total = _timer()
     timing: dict[str, float] = {}
     notes: list[str] = []
-    p = _build_instance(args)
+    tag = _family_tag(args)
+    faces.check_caps(tag.n, tag.d, args.max_subsets)  # before the O(n^2) build
+    p = constructors.from_family(tag)
     analysis = faces.Analysis(p, args.max_subsets)
     n, d = p.n, p.dim
 

@@ -16,8 +16,10 @@ plus the cone of its extreme rays, and it is cut out by the rows tight on
 all of it. Holding, for each row, the bitset of generators it is tight on,
 the lattice is closed under AND from P itself (Kaibel & Pfetsch 2002), and
 a face's closed tight set is the set of rows whose bitset contains it.
-Redundant rows are read from the same incidences, and the cone-membership
-test they need is one more run of the kernel (see redundant_rows).
+After the kernel all work is combinatorial: the lattice order gives each
+face's dimension, facets are the maximal proper faces among the rows'
+bitsets, and the only other arithmetic is the cone-membership test for
+implicit equalities, one more run of the kernel (see redundant_rows).
 
 The query functions below and in hvector take an HPolytope or an
 Analysis; sharing one Analysis enumerates the polytope once. A work
@@ -64,29 +66,6 @@ def _cleared(entries) -> IntVec:
 def _integer_rows(p: HPolytope) -> list[IntVec]:
     """Row i as the integer vector (a_i, -b_i), denominators cleared."""
     return [_cleared(c.coeffs + (-c.rhs,)) for c in p.constraints]
-
-
-def _independent(vectors, limit: int | None = None) -> list[int]:
-    """Indices of the first maximal linearly independent subsequence of the
-    integer vectors, stopping at `limit` picks; without one, its length is
-    their rank. Fraction-free: each vector is reduced against the rows
-    picked so far by integer cross-multiplication, and each pick is divided
-    by its gcd."""
-    echelon: list[tuple[int, list[int]]] = []
-    picked: list[int] = []
-    for k, v in enumerate(vectors):
-        for col, b in echelon:
-            if v[col]:
-                v = [x * b[col] - y * v[col] for x, y in zip(v, b)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        g = gcd(*v)
-        echelon.append((lead, [x // g for x in v]))
-        picked.append(k)
-        if len(picked) == limit:
-            break
-    return picked
 
 
 def _members(bits: int) -> frozenset[int]:
@@ -181,6 +160,25 @@ def enumerate_vertices(p: HPolytope) -> list[Generator]:
     return sorted((r, z & rows_mask) for r, z in zip(rays, zeros))
 
 
+def check_caps(n: int, d: int, max_subsets: int | None = None) -> None:
+    """Raise CapExceededError unless n rows in d variables fit the budget.
+
+    By default n <= 24 and d <= 7; an explicit max_subsets replaces both
+    with C(n, d), the number of d-row subsystems, which bounds the vertex
+    count. Needs only the sizes, so a caller can check before it builds.
+    """
+    if max_subsets is None and n <= DEFAULT_N_CAP and d <= DEFAULT_D_CAP:
+        return
+    count = comb(n, d)
+    bound = f"C({n},{d}) = {count} subsystems of {d} rows bound the vertex count"
+    if max_subsets is None:
+        raise CapExceededError(
+            f"n={n}, d={d} exceeds the default caps n<={DEFAULT_N_CAP}, "
+            f"d<={DEFAULT_D_CAP} ({bound}); pass max_subsets to override")
+    if count > max_subsets:
+        raise CapExceededError(f"{bound}, over max_subsets={max_subsets}")
+
+
 @dataclass(frozen=True, eq=False)
 class Analysis:
     """The enumeration results of one polytope under one work budget.
@@ -190,25 +188,16 @@ class Analysis:
     integer generators of enumerate_vertices and their row bitsets are
     the source of everything else: boundedness and redundancy are read
     from them directly, and `Fraction` vertices are built only for the
-    lattice, the edge graph and the h-vectors. The caps are checked here,
-    before any work: n <= 24, d <= 7 by default, or else C(n, d), which
-    bounds the number of vertices, and the lattice's faces must each fit
-    in the explicit max_subsets budget.
+    lattice, the edge graph and the h-vectors. check_caps runs here,
+    before any work: n <= 24, d <= 7 by default; under an explicit
+    max_subsets budget, C(n, d), which bounds the number of vertices, must
+    fit in it, and so must the number of faces the lattice finds.
     """
     p: HPolytope
     max_subsets: int | None = None
 
     def __post_init__(self):
-        n, d = self.p.n, self.p.dim
-        bound = (f"C({n},{d}) = {comb(n, d)} subsystems of {d} rows "
-                 "bound the vertex count")
-        if self.max_subsets is None:
-            if n > DEFAULT_N_CAP or d > DEFAULT_D_CAP:
-                raise CapExceededError(
-                    f"n={n}, d={d} exceeds the default caps n<={DEFAULT_N_CAP}, "
-                    f"d<={DEFAULT_D_CAP} ({bound}); pass max_subsets to override")
-        elif comb(n, d) > self.max_subsets:
-            raise CapExceededError(f"{bound}, over max_subsets={self.max_subsets}")
+        check_caps(self.p.n, self.p.dim, self.max_subsets)
 
     @cached_property
     def generators(self) -> list[Generator]:
@@ -266,15 +255,17 @@ def face_lattice(a: Analysis) -> list[Face]:
     bitset ANDed with some row bitsets, so ANDing each face found with each
     row, from P down, reaches them all; a result without a vertex is empty
     (Kaibel & Pfetsch 2002). The closed tight set is the rows whose bitset
-    contains the face, and the dimension is d minus the rank of their
-    integer normals. Faces are returned sorted by (dim, tight_set). The
-    analysis supplies the generators and applies the caps. This is the
+    contains the face. The faces form a graded poset with the vertices at
+    dimension 0, and each facet of a face F is F AND some row, so one pass
+    in increasing size sets dim F to one more than the largest dimension
+    of the nonempty F AND row other than F, or 0 when there is none; no
+    row coefficient is read. Faces are returned sorted by (dim, tight_set).
+    The analysis supplies the generators and applies the caps. This is the
     builder behind Analysis.lattice: each call builds a new lattice, so
     read analyze(p).lattice for the cached one.
     """
-    p, d = a.p, a.p.dim
     vertices = a.vertices
-    on_row = _incidence(p.n, [tight for _, tight in vertices]
+    on_row = _incidence(a.p.n, [tight for _, tight in vertices]
                         + [_members(z) for g, z in a.generators if not g[-1]])
     on_vertex = (1 << len(vertices)) - 1
     everything = (1 << len(a.generators)) - 1
@@ -288,13 +279,16 @@ def face_lattice(a: Analysis) -> list[Face]:
                 stack.append(sub)
                 if a.max_subsets is not None and len(found) > a.max_subsets:
                     raise CapExceededError(
-                        f"candidate tight sets exceed max_subsets={a.max_subsets}")
+                        f"faces exceed max_subsets={a.max_subsets}")
 
-    normals = [r[:-1] for r in _integer_rows(p)]
+    dims: dict[int, int] = {}
+    for face in sorted(found, key=int.bit_count):
+        dims[face] = 1 + max((dims[sub] for bits in on_row
+                              if (sub := face & bits) != face and sub & on_vertex),
+                             default=-1)
     lattice = []
-    for face in found:
+    for face, fdim in dims.items():
         tight = [i for i, bits in enumerate(on_row) if bits & face == face]
-        fdim = d - len(_independent([normals[i] for i in tight]))
         vertex_ids = None if face >> len(vertices) else _members(face)
         lattice.append(Face(frozenset(tight), fdim, vertex_ids))
     return sorted(lattice, key=lambda f: (f.dim, sorted(f.tight_set)))
@@ -327,10 +321,12 @@ def redundant_rows(a: Analysis) -> frozenset[int]:
     rows tight at every vertex, are the implicit equalities: one of them is
     redundant iff its normal lies in the cone of the other active rows of
     E (Farkas; no row outside E can take part). Any other row is redundant
-    iff it is tight at no vertex, or its vertices span less than a facet
-    (homogenised rank below dim P), or an active row is tight at exactly
-    the same vertices. Requires a nonempty bounded polytope; the empty one
-    raises InfeasibleError.
+    iff it is tight at no vertex, or its face is not a facet, or an active
+    row is tight at exactly the same vertices. Every row's bitset is a
+    face and the facets are the maximal proper faces, so the face is a
+    facet iff no row's bitset lies strictly between it and all vertices.
+    Requires a nonempty bounded polytope; the empty one raises
+    InfeasibleError.
     """
     p = a.p
     unbounded = UnboundedInputError("redundancy scan requires a bounded polytope")
@@ -342,10 +338,8 @@ def redundant_rows(a: Analysis) -> frozenset[int]:
         raise unbounded from None
     if not a.bounded:
         raise unbounded
-    points = [g for g, _ in generators]
     on_row = _incidence(p.n, (_members(zeros) for _, zeros in generators))
-    everywhere = (1 << len(points)) - 1
-    dim = len(_independent(points)) - 1
+    everywhere = (1 << len(generators)) - 1
     normals = [r[:-1] for r in _integer_rows(p)]
     active = set(range(p.n))
     for i in reversed(range(p.n)):
@@ -356,7 +350,8 @@ def redundant_rows(a: Analysis) -> frozenset[int]:
                                          if on_row[j] == everywhere])
         else:
             drop = (not tight
-                    or len(_independent([points[k] for k in _members(tight)], dim)) < dim
+                    or any(z & tight == tight and z not in (tight, everywhere)
+                           for z in on_row)
                     or any(on_row[j] == tight for j in others))
         if drop:
             active.remove(i)

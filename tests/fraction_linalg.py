@@ -3,10 +3,10 @@
 Exact vectors, matrices, solving and rank on fractions.Fraction: arbitrary
 precision, always in lowest terms with positive denominator, so equality
 tests are exact and there is no rounding anywhere. Vectors and matrices
-are plain tuples. The package itself eliminates on integers only
-(faces._independent); scan_oracle, lp_oracle, lp_geometry and lp_simplex
-use this module instead, so they share no linear algebra with the kernel
-they check.
+are plain tuples. The package does no elimination outside its integer
+double-description kernel; scan_oracle, lp_oracle, lp_geometry,
+lp_simplex and the face-dimension tests use this module instead, so they
+share no linear algebra with the code they check.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from li2poly import constructors
 from li2poly.cli import run
 from li2poly.errors import InputError
 from li2poly.model import parse_hrep
@@ -167,6 +168,22 @@ def test_verify_times_every_stage(capsys):
                             "bounds", "total"]
     assert sum(ms for stage, ms in timing.items() if stage != "total") \
         <= timing["total"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "pstar", "--n", "2000", "--d", "2"],
+    ["verify", "prism3", "--n", "20000"],
+])
+def test_verify_applies_caps_before_building(monkeypatch, capsys, argv):
+    # The polygon builders are O(n^2): an over-cap verify must exit before
+    # it builds anything.
+    def fail(tag):
+        pytest.fail(f"built {tag} before checking the caps")
+    monkeypatch.setattr(constructors, "from_family", fail)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the default caps" in captured.err
 
 
 def test_verify_byte_identical_with_no_timing(capsys):

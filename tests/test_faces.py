@@ -3,15 +3,16 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 import fraction_linalg
-from conftest import cached_f_vector, square_pyramid, unit_square
+from conftest import (RANDOM, cached_f_vector, square_pyramid,
+                      two_variable_systems, unit_square)
 from li2poly import constructors, faces
 from li2poly.errors import (CapExceededError, NonPointedError,
                             RedundantInputError, UnboundedInputError)
 from li2poly.model import HPolytope, parse_hrep
+from test_double_description import REDUNDANCY
 
 
 def test_square_vertices(square):
@@ -28,11 +29,30 @@ def test_non_pointed_rejected():
         faces.enumerate_vertices(strip)
 
 
-def test_face_dims_match_tight_ranks(square):
-    for face in faces.Analysis(square).lattice:
-        assert 0 <= face.dim <= 2
-        if face.dim == 2:
-            assert face.tight_set == frozenset()
+# The square, the segment, pstar(7,3) and the flat and pinned inputs.
+DIM_CASES = {"square": unit_square,
+             **{name: REDUNDANCY[name] for name in (
+                 "segment", "unbounded", "flat_square", "point",
+                 "point_with_slack", "pinned_point", "segment_in_3d")}}
+
+
+def _check_face_dims(p):
+    # The lattice reads each dimension from its order; a face's dimension
+    # is also d minus the rank of the rows tight on it.
+    for face in faces.Analysis(p).lattice:
+        rows = [p.constraints[i].coeffs for i in sorted(face.tight_set)]
+        assert face.dim == p.dim - fraction_linalg.rank(fraction_linalg.mat(rows))
+
+
+@pytest.mark.parametrize("name", DIM_CASES)
+def test_face_dims_match_tight_ranks(name):
+    _check_face_dims(DIM_CASES[name]())
+
+
+@RANDOM
+@given(two_variable_systems(equalities=2))
+def test_face_dims_match_tight_ranks_on_lower_dimensional_systems(p):
+    _check_face_dims(p)
 
 
 def test_pyramid_apex_tight_on_four():
@@ -150,7 +170,7 @@ def test_caps_reject_oversized_input():
     cube = parse_hrep("6 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n"
                       "-1 0 0 0\n0 -1 0 0\n0 0 -1 0")
     assert faces.f_vector(faces.Analysis(cube, max_subsets=27)) == (8, 12, 6, 1)
-    with pytest.raises(CapExceededError, match="candidate tight sets exceed"):
+    with pytest.raises(CapExceededError, match="faces exceed max_subsets=20"):
         faces.Analysis(cube, max_subsets=20).lattice
 
 
@@ -184,36 +204,3 @@ def test_one_dimensional_segment():
     assert faces.f_vector(p) == (2, 1)
     points, edges = faces.edge_graph(p)
     assert len(points) == 2 and edges == [(0, 1)]
-
-
-@st.composite
-def integer_matrices(draw):
-    """Up to 8 columns of entries up to 2^40, with duplicate, scaled, zero
-    and summed rows mixed in, so the rank is often below the row count."""
-    cols = draw(st.integers(1, 8))
-    entry = st.integers(-2 ** 40, 2 ** 40) | st.integers(-3, 3)
-    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
-    for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["duplicate", "scaled", "zero", "sum"]))
-        if kind == "zero" or not rows:
-            rows.append([0] * cols)
-        elif kind == "duplicate":
-            rows.append(list(draw(st.sampled_from(rows))))
-        elif kind == "scaled":
-            scale = draw(st.integers(-2 ** 20, 2 ** 20).filter(bool))
-            rows.append([scale * x for x in draw(st.sampled_from(rows))])
-        else:
-            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            rows.append([x + y for x, y in zip(u, v)])
-    return draw(st.permutations(rows))
-
-
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(integer_matrices())
-def test_integer_rank_matches_fraction_rank(rows):
-    # faces._independent is the package's rank; each lattice face's
-    # dimension is d minus its length on the face's normals.
-    picked = faces._independent([tuple(r) for r in rows])
-    assert len(picked) == fraction_linalg.rank(fraction_linalg.mat(rows))
-    chosen = [rows[i] for i in picked]
-    assert fraction_linalg.rank(fraction_linalg.mat(chosen)) == len(picked)

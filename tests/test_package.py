@@ -1,7 +1,7 @@
-"""The package runs no linear program and no Fraction elimination: every
-subcommand runs without the LP code and the Fraction linear algebra, which
-live in the test suite as the reference, and the suite itself collects
-without errors."""
+"""The package runs no linear program and no elimination outside its
+double-description kernel: every subcommand runs without the LP code, the
+Fraction linear algebra and a rank routine, which live in the test suite as
+the reference, and the suite itself collects without errors."""
 
 import importlib
 import importlib.util
@@ -40,8 +40,8 @@ def test_every_subcommand_runs_without_the_lp_modules(tmp_path, capsys):
         assert importlib.util.find_spec(f"li2poly.{name}") is None
     for module_name in [m for m in sys.modules if m.startswith("li2poly.")]:
         module = importlib.import_module(module_name)
-        assert not hasattr(module, "solve_lp_max")
-        assert not hasattr(module, "_row_reduce")
+        for name in ("solve_lp_max", "_row_reduce", "_independent"):
+            assert not hasattr(module, name)
 
 
 def test_suite_collects_without_errors():
