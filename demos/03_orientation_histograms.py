@@ -27,7 +27,7 @@ print(f"  h from f: {h_from_f(f)}  (the square's (1,2,1) convolved with itself)"
 print()
 
 print("componentwise comparison against the dual cyclic histogram:")
-report = strengthened_ubt_check(p, p.n)
+report = strengthened_ubt_check(p)
 for e in report.entries:
     mark = "=" if e.h_value == e.h_dual_cyclic else "<"
     print(f"  h_{e.index}: {e.h_value} {mark} {e.h_dual_cyclic}")
@@ -35,6 +35,6 @@ print(f"  satisfied: {report.satisfied}")
 print()
 
 print("the prism attains the d=3 histogram exactly:")
-report = strengthened_ubt_check(prism3(8), 8)
+report = strengthened_ubt_check(prism3(8))
 for e in report.entries:
     print(f"  h_{e.index}: {e.h_value} vs {e.h_dual_cyclic}")

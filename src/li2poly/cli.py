@@ -69,6 +69,8 @@ def _family_tag(args) -> model.FamilyTag:
         raise UsageError(f"family {args.family!r} requires --d")
     if fixed is not None and args.d is not None and args.d != fixed:
         raise UsageError(f"family {args.family!r} is {fixed}-dimensional")
+    _require_at_least(args, "n", 0)
+    _require_at_least(args, "d", 0)
     return model.FamilyTag(args.family, args.n, fixed or args.d)
 
 
@@ -146,7 +148,7 @@ def cmd_verify(args) -> int:
     timing: dict[str, float] = {}
     notes: list[str] = []
     tag = _family_tag(args)
-    faces.check_caps(tag.n, tag.d, args.max_subsets)  # before the O(n^2) build
+    faces.check_caps(tag.n, tag.d, args.max_subsets)  # exit before building an over-cap instance
     p = constructors.from_family(tag)
     analysis = faces.Analysis(p, args.max_subsets)
     n, d = p.n, p.dim
@@ -190,7 +192,7 @@ def cmd_verify(args) -> int:
     timing["hvector"] = stage()
 
     stage = _timer()
-    checks["ubt"] = hvector.strengthened_ubt_check(analysis, n).satisfied
+    checks["ubt"] = hvector.strengthened_ubt_check(analysis).satisfied
     timing["ubt"] = stage()
 
     stage = _timer()
@@ -283,7 +285,7 @@ def cmd_report_ratio(args) -> int:
     ns = list(range(args.n_start, args.n_end + 1, args.step))
     if not ns:
         raise UsageError("empty n range")
-    rows = formulas.ratio_report(args.d, ns, args.k, args.slack)
+    rows = formulas.ratio_report(args.d, ns, args.k)
     if args.csv:
         header = ["n", "f_dual_cyclic", "f_pstar", "ratio", "threshold",
                   "within_envelope"]
@@ -305,7 +307,7 @@ def cmd_report_ratio(args) -> int:
         "command": "report-ratio",
         "d": args.d,
         "k": args.k,
-        "envelope_slack": args.slack,
+        "envelope_slack": formulas.ENVELOPE_SLACK,
         "rows": [{
             "n": r.n,
             "f_dual_cyclic": r.f_dual_cyclic,
@@ -399,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--step", type=int, required=True)
     rr.add_argument("--csv", action="store_true")
     rr.add_argument("--decimal", type=int)
-    rr.add_argument("--slack", type=int, default=8)
     rr.set_defaults(func=cmd_report_ratio)
 
     rb = repsub.add_parser("bounds", help="ridge and separation bound values")

@@ -39,55 +39,49 @@ def polygon_vertices(m: int) -> list[Vec]:
     return points
 
 
-def _polygon_edges(vertices: list[Vec]) -> list[tuple[Vec, Fraction]]:
-    """Outward edge inequalities (a, b) with a.x <= b for a ccw vertex list."""
-    m = len(vertices)
-    edges = []
-    for j in range(m):
-        u = vertices[j]
-        v = vertices[(j + 1) % m]
+def _polygon_edges(m: int) -> list[tuple[Vec, Fraction]]:
+    """Outward edge rows (a, b), a.x <= b, from vertex j to j+1 of the m-gon.
+
+    Checked in O(m): a strict left turn at every vertex and exactly one
+    vertex below both neighbours in (x, y) order. A locally convex closed
+    polygon winds once per such vertex, so this means convex and ccw.
+    """
+    vertices = polygon_vertices(m)
+    edges, minima = [], 0
+    for j, u in enumerate(vertices):
+        v, w = vertices[(j + 1) % m], vertices[(j + 2) % m]
         a = (v[1] - u[1], u[0] - v[0])  # right normal of u -> v, outward for ccw
         b = a[0] * u[0] + a[1] * u[1]
-        for w in vertices:
-            if a[0] * w[0] + a[1] * w[1] > b:
-                raise AssertionError("edge normal does not contain the polygon")
+        if a[0] * w[0] + a[1] * w[1] >= b:
+            raise AssertionError("polygon has no strict left turn at a vertex")
+        minima += u > v < w  # v below both neighbours in (x, y) order
         edges.append((a, b))
+    if minima != 1:
+        raise AssertionError(f"polygon winds {minima} times, not once")
     return edges
 
 
 def convex_polygon(m: int) -> HPolytope:
     """A convex m-gon in the plane: m constraints, m vertices, origin inside."""
-    edges = _polygon_edges(polygon_vertices(m))
     constraints = tuple(
-        Constraint(a, b, label=f"e{j}") for j, (a, b) in enumerate(edges))
+        Constraint(a, b, label=f"e{j}") for j, (a, b) in enumerate(_polygon_edges(m)))
     return HPolytope(2, constraints, FamilyTag("polygon", m, 2))
-
-
-def embedded_polygon_rows(m: int, pair_index: int, dim: int) -> list[Constraint]:
-    """The m-gon's rows placed on coordinates 2*pair_index, 2*pair_index+1."""
-    lo = 2 * pair_index
-    rows = []
-    for j, (a, b) in enumerate(_polygon_edges(polygon_vertices(m))):
-        coeffs = [ZERO] * dim
-        coeffs[lo] = a[0]
-        coeffs[lo + 1] = a[1]
-        rows.append(Constraint(tuple(coeffs), b, label=f"p{pair_index}e{j}"))
-    return rows
 
 
 def pstar(n: int, d: int) -> HPolytope:
     """The paired-polygon construction: d/2 disjoint polygons for even d.
 
-    Even d places one (n/(d/2))-gon on each coordinate pair, giving a
-    bounded simple d-polytope whose every row touches two variables. Odd d
-    applies the even construction to the first d-1 coordinates with n-1
-    rows and adds the single half-space x_d >= 0; the result is a pointed
-    but unbounded polyhedron, kept verbatim rather than capped.
+    Even d places the edge rows of one (n/(d/2))-gon, built once, on each
+    coordinate pair, giving a bounded simple d-polytope whose every row
+    touches two variables. Odd d applies the even construction to the first
+    d-1 coordinates with n-1 rows and adds the single half-space x_d >= 0;
+    the result is a pointed but unbounded polyhedron, kept verbatim rather
+    than capped.
     """
-    m = formulas.pstar_polygon_size(n, d)
-    rows: list[Constraint] = []
-    for i in range(d // 2):
-        rows.extend(embedded_polygon_rows(m, i, d))
+    edges = _polygon_edges(formulas.pstar_polygon_size(n, d))
+    rows = [Constraint((ZERO,) * (2 * i) + a + (ZERO,) * (d - 2 * i - 2), b,
+                       label=f"p{i}e{j}")
+            for i in range(d // 2) for j, (a, b) in enumerate(edges)]
     if d % 2:
         last = [ZERO] * d
         last[d - 1] = -ONE
@@ -126,7 +120,7 @@ def prism3(n: int) -> HPolytope:
     if n < 5:
         raise ValueError(f"n = {n}: the prism needs at least 5 constraints")
     rows = []
-    for j, (a, b) in enumerate(_polygon_edges(polygon_vertices(n - 2))):
+    for j, (a, b) in enumerate(_polygon_edges(n - 2)):
         rows.append(Constraint((a[0], a[1], ZERO), b, label=f"e{j}"))
     rows.append(Constraint((ZERO, ZERO, -ONE), ZERO, label="z_lo"))
     rows.append(Constraint((ZERO, ZERO, ONE), ONE, label="z_hi"))

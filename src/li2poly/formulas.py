@@ -18,6 +18,8 @@ from .errors import DivisibilityError
 
 # Rational over-approximation of e, documented threshold base: e < 2.7183.
 E_UPPER = Fraction(27183, 10000)
+# Multiplier on the envelope that ratio_report's pass flag allows.
+ENVELOPE_SLACK = 8
 
 
 def binom(a: int, b: int) -> int:
@@ -144,8 +146,8 @@ def leading_terms(n: int, d: int, k: int) -> tuple[Fraction, Fraction]:
     up = low + 1
     g = Fraction(n - 1, low)
     if k <= low:
-        return ((binom(low, k) + binom(low, k + 1)) * g ** low,
-                Fraction(binom(up, k) * binom(n - up - 1, low)))
+        return (binom(up, k) * g ** low,
+                Fraction((binom(low, k) + binom(up, k)) * binom(n - up - 1, low)))
     return (binom(low, d - k) * g ** (d - k),
             Fraction(binom(n - k - 1, d - k)))
 
@@ -249,13 +251,13 @@ class RatioRow:
     within_envelope: bool
 
 
-def ratio_report(d: int, n_list, k: int, envelope_slack: int = 8) -> list[RatioRow]:
+def ratio_report(d: int, n_list, k: int) -> list[RatioRow]:
     """Exact ratios f_k(c*)/f_k(P*) against the exponential threshold.
 
     The threshold is E_UPPER^floor(d/2) for k < ceil(d/2) and E_UPPER^(d-k)
     above, a rational over-approximation of the exponential envelope. The
     polynomial factor in front of the envelope is not pinned down, so the
-    pass flag allows a documented slack multiplier (default 8) and the
+    pass flag allows the fixed multiplier ENVELOPE_SLACK = 8 and the
     residue ratio/threshold records the observed polynomial content.
     """
     half_up = -(-d // 2)
@@ -267,7 +269,7 @@ def ratio_report(d: int, n_list, k: int, envelope_slack: int = 8) -> list[RatioR
         fp = fk_pstar(n, d, k)
         ratio = Fraction(fc, fp)
         rows.append(RatioRow(n, fc, fp, ratio, threshold, ratio / threshold,
-                             ratio <= envelope_slack * threshold))
+                             ratio <= ENVELOPE_SLACK * threshold))
     return rows
 
 

@@ -116,8 +116,8 @@ class UbtComparison:
     satisfied: bool
 
 
-def strengthened_ubt_check(x: HPolytope | Analysis, n: int) -> UbtComparison:
-    """Compare h of a simple n-row polytope against the dual cyclic h.
+def strengthened_ubt_check(x: HPolytope | Analysis) -> UbtComparison:
+    """Compare h of a simple n-row polytope against the dual cyclic h(n, d).
 
     Both sides come from the f-to-h transform: the right side from the
     closed-form dual cyclic f-vector, the left from brute-force
@@ -129,7 +129,7 @@ def strengthened_ubt_check(x: HPolytope | Analysis, n: int) -> UbtComparison:
     if any(len(tight) != a.p.dim for _, tight in a.vertices):
         raise NotSimpleError("the h comparison assumes a simple polytope")
     h_p = h_from_f(a.f_vector)
-    h_c = h_from_f(dual_cyclic_f_vector(n, a.p.dim))
+    h_c = h_from_f(dual_cyclic_f_vector(a.p.n, a.p.dim))
     entries = tuple(
         UbtEntry(i, hp, hc, hp <= hc) for i, (hp, hc) in enumerate(zip(h_p, h_c)))
     return UbtComparison(entries, all(e.ok for e in entries))

@@ -111,10 +111,10 @@ def _outcome(query, x):
         return ("error", type(exc), str(exc))
 
 
-def _queries(n: int):
+def _queries():
     queries = {"f_vector": faces.f_vector, "edge_graph": faces.edge_graph,
                "is_simple": faces.is_simple,
-               "ubt": lambda x: hvector.strengthened_ubt_check(x, n)}
+               "ubt": hvector.strengthened_ubt_check}
     for seed in (0, 1, 2):
         queries[f"h_seed_{seed}"] = (
             lambda x, seed=seed: hvector.indegree_hvector(x, seed))
@@ -138,7 +138,7 @@ NOT_SIMPLE = {"ubt": NotSimpleError, "h_seed_0": NotSimpleError,
 def test_shared_analysis_matches_fresh_calls(build, expected_errors):
     p = build()
     shared = faces.Analysis(p)
-    for name, query in _queries(p.n).items():
+    for name, query in _queries().items():
         fresh = _outcome(query, p)
         assert _outcome(query, shared) == fresh, name
         assert _outcome(query, shared) == fresh, name  # served from the cache
@@ -151,7 +151,7 @@ def test_shared_analysis_matches_fresh_calls(build, expected_errors):
 def test_caps_apply_before_the_vertex_scan():
     big = constructors.dual_cyclic(60, 7)  # C(60,7) = 386206920 subsets
     for check in (lambda: hvector.indegree_hvector(big, 0),
-                  lambda: hvector.strengthened_ubt_check(big, 60),
+                  lambda: hvector.strengthened_ubt_check(big),
                   lambda: faces.is_simple(big)):
         start = time.perf_counter()
         with pytest.raises(CapExceededError, match="386206920"):

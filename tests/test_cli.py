@@ -75,6 +75,13 @@ def test_usage_errors_exit_2(capsys):
       "--max-subsets", "0"], "--max-subsets must be at least 1, got 0"),
     (["verify", "pstar", "--n", "8", "--d", "4", "--max-subsets", "-3"],
      "--max-subsets must be at least 1, got -3"),
+    (["verify", "pstar", "--n", "8", "--d", "-2", "--max-subsets", "5"],
+     "--d must be at least 0, got -2"),
+    (["verify", "dualcyclic", "--n", "-3", "--d", "3", "--max-subsets", "5"],
+     "--n must be at least 0, got -3"),
+    (["construct", "polygon", "--n", "-1"], "--n must be at least 0, got -1"),
+    (["construct", "pstar", "--n", "8", "--d", "-4"],
+     "--d must be at least 0, got -4"),
 ])
 def test_integer_option_out_of_range_exits_2(capsys, argv, message):
     assert run(argv) == 2
@@ -175,8 +182,8 @@ def test_verify_times_every_stage(capsys):
     ["verify", "prism3", "--n", "20000"],
 ])
 def test_verify_applies_caps_before_building(monkeypatch, capsys, argv):
-    # The polygon builders are O(n^2): an over-cap verify must exit before
-    # it builds anything.
+    # An over-cap verify must exit before it builds anything, even though
+    # the polygon constructors are linear in n.
     def fail(tag):
         pytest.fail(f"built {tag} before checking the caps")
     monkeypatch.setattr(constructors, "from_family", fail)

@@ -3,6 +3,7 @@
 import pytest
 
 from li2poly import constructors, faces, model
+from li2poly.cli import run
 from li2poly.errors import DivisibilityError
 from fraction_linalg import ZERO
 from lp_geometry import is_bounded
@@ -25,6 +26,30 @@ def test_polygon_each_edge_tight_on_two_vertices():
     vertices = faces.Analysis(p).vertices
     for i in range(p.n):
         assert sum(1 for _, tight in vertices if i in tight) == 2
+    for m in range(3, 61):
+        points = constructors.polygon_vertices(m)
+        for c in constructors.convex_polygon(m).constraints:
+            slacks = [c.slack(v) for v in points]
+            assert min(slacks) == 0 and slacks.count(0) == 2, (m, c.label)
+
+
+ORDERS = {"reversed": lambda v: v[::-1],
+          "pentagram": lambda v: [v[2 * i % len(v)] for i in range(len(v))],
+          "swapped": lambda v: [v[0], v[2], v[1]] + v[3:]}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_polygon_edges_reject_non_convex_orders(monkeypatch, capsys, order):
+    ccw = constructors.polygon_vertices
+    monkeypatch.setattr(constructors, "polygon_vertices",
+                        lambda m: ORDERS[order](ccw(m)))
+    with pytest.raises(AssertionError):
+        constructors.convex_polygon(5)
+    assert run(["construct", "polygon", "--n", "5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_polygon_vertices_on_unit_circle():

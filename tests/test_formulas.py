@@ -113,6 +113,17 @@ def test_leading_terms_above_half_dominant_summand():
         assert leading_terms(n, d, d - 1)[0] == fk_pstar(n, d, d - 1) == n
 
 
+def test_leading_terms_are_asymptotic_to_the_exact_counts():
+    # At n = 10^4 floor(d/2) (+1 for odd d) every entry is within 1% of the
+    # count it leads, on both sides of k = d/2 and for both parities.
+    for d in range(3, 10):
+        n = 10 ** 4 * (d // 2) + d % 2
+        for k in range(d + 1):
+            lead_p, lead_c = leading_terms(n, d, k)
+            assert abs(fk_pstar(n, d, k) / lead_p - 1) < Fraction(1, 100), (d, k)
+            assert abs(fk_dual_cyclic(n, d, k) / lead_c - 1) < Fraction(1, 100), (d, k)
+
+
 def test_lemma41_bound_values():
     assert lemma41_bound(12, 12, 6) == F(368, 5)
     assert lemma41_bound(8, 6, 4) == F(63, 2)

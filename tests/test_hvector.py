@@ -107,20 +107,20 @@ def test_dehn_sommerville_symmetry():
 
 
 def test_ubt_pstar_12_6_componentwise():
-    report = hvector.strengthened_ubt_check(cached_analysis("pstar", 12, 6), 12)
+    report = hvector.strengthened_ubt_check(cached_analysis("pstar", 12, 6))
     assert report.satisfied
     assert tuple(e.h_value for e in report.entries) == (1, 6, 15, 20, 15, 6, 1)
     assert tuple(e.h_dual_cyclic for e in report.entries) == (1, 6, 21, 56, 21, 6, 1)
 
 
 def test_ubt_dual_cyclic_self_equality():
-    report = hvector.strengthened_ubt_check(constructors.dual_cyclic(8, 4), 8)
+    report = hvector.strengthened_ubt_check(constructors.dual_cyclic(8, 4))
     assert report.satisfied
     assert all(e.h_value == e.h_dual_cyclic for e in report.entries)
 
 
 def test_ubt_prism_attains_d3_bound():
-    report = hvector.strengthened_ubt_check(constructors.prism3(8), 8)
+    report = hvector.strengthened_ubt_check(constructors.prism3(8))
     assert report.satisfied
     assert all(e.h_value == e.h_dual_cyclic for e in report.entries)
     assert tuple(e.h_value for e in report.entries) == (1, 5, 5, 1)
@@ -128,10 +128,10 @@ def test_ubt_prism_attains_d3_bound():
 
 def test_ubt_rejects_non_simple():
     with pytest.raises(NotSimpleError):
-        hvector.strengthened_ubt_check(square_pyramid(), 5)
+        hvector.strengthened_ubt_check(square_pyramid())
 
 
 def test_ubt_covers_pointed_unbounded():
-    report = hvector.strengthened_ubt_check(constructors.pstar(7, 3), 7)
+    report = hvector.strengthened_ubt_check(constructors.pstar(7, 3))
     assert report.satisfied
     assert tuple(e.h_value for e in report.entries) == (0, 1, 4, 1)
