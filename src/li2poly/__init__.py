@@ -15,7 +15,7 @@ from .formulas import (fk_dual_cyclic, fk_pstar, gale_evenness_facet_count,
                        leading_terms, lemma41_bound, ratio_report,
                        thm42_bound, thm42_bound_literal)
 from .hvector import (f_from_h, h_from_f, indegree_hvector,
-                      objective_independence_check, strengthened_ubt_check)
+                      strengthened_ubt_check)
 from .model import (Constraint, HPolytope, LI2Profile, li2_profile,
                     parse_hrep, serialize_hrep)
 
@@ -26,8 +26,7 @@ __all__ = [
     "enumerate_vertices", "face_lattice", "f_vector",
     "facet_adjacency_count", "edge_graph", "is_simple",
     "redundant_constraints",
-    "h_from_f", "f_from_h", "indegree_hvector",
-    "objective_independence_check", "strengthened_ubt_check",
+    "h_from_f", "f_from_h", "indegree_hvector", "strengthened_ubt_check",
     "fk_dual_cyclic", "fk_pstar", "leading_terms", "lemma41_bound",
     "thm42_bound", "thm42_bound_literal", "ratio_report",
     "gale_evenness_facet_count",

@@ -3,8 +3,8 @@
 Subcommands construct instances, enumerate faces, verify the closed-form
 counts against the exact enumeration, report redundant rows, and emit
 JSON/CSV reports. Every enumerating command, `profile` included, goes
-through one faces.Analysis and its caps, and none runs a linear program;
-verify checks the caps before it builds its instance.
+through one faces.Analysis and its work cap, and none runs a linear
+program; verify checks the cap before it builds its instance.
 Machine output goes to stdout, human-readable errors to stderr.
 
 Exit codes: 0 success (and, for verify, all checks pass), 1 a verification
@@ -89,7 +89,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_fvector(args) -> int:
-    _require_at_least(args, "max_subsets", 1)
+    _require_at_least(args, "max_work", 1)
     elapsed = _timer()
     p = _read_polytope(args.infile)
     if args.method == "formula":
@@ -102,7 +102,7 @@ def cmd_fvector(args) -> int:
                              f"not match the header n={p.n} d={p.dim}")
         f = constructors.FAMILIES[p.family.name].f_vector(p.family.n, p.family.d)
     else:
-        f = faces.Analysis(p, args.max_subsets).f_vector
+        f = faces.Analysis(p, args.max_work).f_vector
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "fvector",
@@ -143,14 +143,14 @@ def cmd_hvector(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_at_least(args, "max_subsets", 1)
+    _require_at_least(args, "max_work", 1)
     total = _timer()
     timing: dict[str, float] = {}
     notes: list[str] = []
     tag = _family_tag(args)
-    faces.check_caps(tag.n, tag.d, args.max_subsets)  # exit before building an over-cap instance
+    faces.check_caps(tag.n, tag.d, args.max_work)  # exit before building an over-cap instance
     p = constructors.from_family(tag)
-    analysis = faces.Analysis(p, args.max_subsets)
+    analysis = faces.Analysis(p, args.max_work)
     n, d = p.n, p.dim
 
     stage = _timer()
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fvector", help="f-vector of an H-rep file")
     f.add_argument("--in", dest="infile", required=True)
     f.add_argument("--method", choices=("enumerate", "formula"), required=True)
-    f.add_argument("--max-subsets", type=int)
+    f.add_argument("--max-work", type=int, default=faces.DEFAULT_MAX_WORK)
     f.add_argument("--no-timing", action="store_true")
     f.set_defaults(func=cmd_fvector)
 
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--d", type=int)
     v.add_argument("--json", action="store_true")
-    v.add_argument("--max-subsets", type=int)
+    v.add_argument("--max-work", type=int, default=faces.DEFAULT_MAX_WORK)
     v.add_argument("--no-timing", action="store_true")
     v.set_defaults(func=cmd_verify)
 

@@ -48,7 +48,7 @@ class NotSimpleError(InputError):
 
 
 class CapExceededError(InputError):
-    """Enumeration size caps exceeded; pass an explicit override to proceed."""
+    """faces.check_caps's work estimate is over budget; raise it with --max-work."""
 
 
 class GenericObjectiveError(InputError):

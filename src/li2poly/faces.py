@@ -1,15 +1,16 @@
 """Exact enumeration of the face lattice of a pointed polyhedron.
 
 This module is the independent oracle the closed-form counts are checked
-against; it reads no formula. Vertices and extreme rays come from one
-integer double-description pass (Motzkin, Raiffa, Thompson & Thrall 1953;
-Fukuda & Prodon 1996) over the homogenised cone {(x, t) : a_i.x - b_i.t <= 0,
-t >= 0}, started from the whole space, so the same pass finds emptiness
-and a lineality space: its extreme rays with t > 0 are the vertices, those
-with t = 0 the extreme recession rays, and the polyhedron is bounded
-exactly when it has none of the latter. Each generator carries the bitset
-of rows it is tight on, and everything else is read from those incidences
-without a linear program.
+against: it reads the Upper Bound Theorem's counts (face_bound) only to
+decide whether to run and to check its f-vector. Vertices and extreme
+rays come from one integer double-description pass (Motzkin, Raiffa,
+Thompson & Thrall 1953; Fukuda & Prodon 1996) over the homogenised cone
+{(x, t) : a_i.x - b_i.t <= 0, t >= 0}, started from the whole space, so
+the same pass finds emptiness and a lineality space: its extreme rays
+with t > 0 are the vertices, those with t = 0 the extreme recession rays,
+and the polyhedron is bounded exactly when it has none of the latter.
+Each generator carries the bitset of rows it is tight on, and everything
+else is read from those incidences without a linear program.
 
 Faces are sets of generators: a face is the convex hull of its vertices
 plus the cone of its extreme rays, and it is cut out by the rows tight on
@@ -21,9 +22,8 @@ face's dimension, facets are the maximal proper faces among the rows'
 bitsets, and the only other arithmetic is the cone-membership test for
 implicit equalities, one more run of the kernel (see redundant_rows).
 
-The query functions below and in hvector take an HPolytope or an
-Analysis; sharing one Analysis enumerates the polytope once. A work
-budget other than the default caps is given when the Analysis is made.
+The query functions below and in hvector take an HPolytope or an Analysis,
+which carries the work budget; sharing one enumerates the polytope once.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .errors import (CapExceededError, InfeasibleError, NonPointedError,
                      RedundantInputError, UnboundedInputError)
+from .formulas import dual_cyclic_f_vector
 from .model import Constraint, HPolytope, Vec
 
-DEFAULT_N_CAP = 24
-DEFAULT_D_CAP = 7
+DEFAULT_MAX_WORK = 5_000_000
 
 FVector = tuple[int, ...]
 IntVec = tuple[int, ...]
@@ -160,23 +160,37 @@ def enumerate_vertices(p: HPolytope) -> list[Generator]:
     return sorted((r, z & rows_mask) for r, z in zip(rays, zeros))
 
 
-def check_caps(n: int, d: int, max_subsets: int | None = None) -> None:
+def face_bound(n: int, d: int) -> FVector:
+    """f_k(c*(max(n, d) + 1, d)) for k = 0..d: at most that many k-faces.
+
+    A pointed polyhedron with n rows in d variables is projectively a
+    polytope with at most n + 1 facets, so by the Upper Bound Theorem
+    (McMullen 1970) it has at most f_k(c*(n + 1, d)) k-faces. A j-dimensional
+    one spends d - j rows on its affine hull, and d - j pyramids, each with
+    f_k(c*(m, j)) <= f_k(c*(m + 1, j + 1)), carry its bound to the same one;
+    for n < d, which has lines, the max only keeps c* defined.
+    """
+    return dual_cyclic_f_vector(max(n, d) + 1, d)
+
+
+def check_caps(n: int, d: int, max_work: int = DEFAULT_MAX_WORK) -> None:
     """Raise CapExceededError unless n rows in d variables fit the budget.
 
-    By default n <= 24 and d <= 7; an explicit max_subsets replaces both
-    with C(n, d), the number of d-row subsystems, which bounds the vertex
-    count. Needs only the sizes, so a caller can check before it builds.
+    The work is max(n, d) times the sum of face_bound(n, d): the lattice
+    ANDs each face with each of the n rows, and the kernel starts from d + 1
+    lines of d + 1 entries. A sum of at least the d-simplex's 2^(d+1) - 1
+    faces rejects a large d before face_bound's O(d^2) binomials. Needs
+    only the sizes, so a caller can check before it builds.
     """
-    if max_subsets is None and n <= DEFAULT_N_CAP and d <= DEFAULT_D_CAP:
-        return
-    count = comb(n, d)
-    bound = f"C({n},{d}) = {count} subsystems of {d} rows bound the vertex count"
-    if max_subsets is None:
+    size = max(n, d)
+    if d > max_work.bit_length() or size * (2 ** (d + 1) - 1) > max_work:
+        raise CapExceededError(f"n={n}, d={d}: the {d}-simplex's 2^{d + 1} - 1 faces "
+                               f"alone put the work over max_work={max_work}")
+    bound = sum(face_bound(n, d))
+    if size * bound > max_work:
         raise CapExceededError(
-            f"n={n}, d={d} exceeds the default caps n<={DEFAULT_N_CAP}, "
-            f"d<={DEFAULT_D_CAP} ({bound}); pass max_subsets to override")
-    if count > max_subsets:
-        raise CapExceededError(f"{bound}, over max_subsets={max_subsets}")
+            f"n={n}, d={d}: the Upper Bound Theorem allows {bound} faces; "
+            f"work {size} * {bound} = {size * bound} exceeds max_work={max_work}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,16 +202,13 @@ class Analysis:
     integer generators of enumerate_vertices and their row bitsets are
     the source of everything else: boundedness and redundancy are read
     from them directly, and `Fraction` vertices are built only for the
-    lattice, the edge graph and the h-vectors. check_caps runs here,
-    before any work: n <= 24, d <= 7 by default; under an explicit
-    max_subsets budget, C(n, d), which bounds the number of vertices, must
-    fit in it, and so must the number of faces the lattice finds.
+    lattice, the edge graph and the h-vectors. check_caps runs here first.
     """
     p: HPolytope
-    max_subsets: int | None = None
+    max_work: int = DEFAULT_MAX_WORK
 
     def __post_init__(self):
-        check_caps(self.p.n, self.p.dim, self.max_subsets)
+        check_caps(self.p.n, self.p.dim, self.max_work)
 
     @cached_property
     def generators(self) -> list[Generator]:
@@ -226,7 +237,10 @@ class Analysis:
         counts = [0] * (self.p.dim + 1)
         for face in self.lattice:
             counts[face.dim] += 1
-        return tuple(counts)
+        f, bound = tuple(counts), face_bound(self.p.n, self.p.dim)
+        if any(fk > bk for fk, bk in zip(f, bound)):  # the enumerator or the bound is wrong
+            raise AssertionError(f"f-vector {f} exceeds the Upper Bound Theorem's {bound}")
+        return f
 
     @cached_property
     def edge_graph(self) -> tuple[list[Vec], list[tuple[int, int]]]:
@@ -260,7 +274,7 @@ def face_lattice(a: Analysis) -> list[Face]:
     in increasing size sets dim F to one more than the largest dimension
     of the nonempty F AND row other than F, or 0 when there is none; no
     row coefficient is read. Faces are returned sorted by (dim, tight_set).
-    The analysis supplies the generators and applies the caps. This is the
+    The analysis supplies the generators and applies the cap. This is the
     builder behind Analysis.lattice: each call builds a new lattice, so
     read analyze(p).lattice for the cached one.
     """
@@ -277,9 +291,6 @@ def face_lattice(a: Analysis) -> list[Face]:
             if sub & on_vertex and sub not in found:
                 found.add(sub)
                 stack.append(sub)
-                if a.max_subsets is not None and len(found) > a.max_subsets:
-                    raise CapExceededError(
-                        f"faces exceed max_subsets={a.max_subsets}")
 
     dims: dict[int, int] = {}
     for face in sorted(found, key=int.bit_count):

@@ -91,16 +91,6 @@ def indegree_hvector(x: HPolytope | Analysis, seed: int) -> HVector:
     return tuple(counts)
 
 
-def objective_independence_check(x: HPolytope | Analysis,
-                                 seeds: Sequence[int]) -> bool:
-    """True iff the indegree histogram agrees across seeds and with h_from_f."""
-    a = analyze(x)
-    histograms = {indegree_hvector(a, s) for s in seeds}
-    if len(histograms) != 1:
-        return False
-    return histograms.pop() == h_from_f(a.f_vector)
-
-
 @dataclass(frozen=True)
 class UbtEntry:
     index: int

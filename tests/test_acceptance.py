@@ -33,7 +33,8 @@ def _report(num: int, desc: str, ok: bool) -> bool:
 
 
 def test_criterion_1_vertex_counts():
-    grid = {(8, 4): 16, (10, 4): 25, (12, 4): 36, (12, 6): 64, (16, 4): 64}
+    grid = {(8, 4): 16, (10, 4): 25, (12, 4): 36, (12, 6): 64, (16, 4): 64,
+            (16, 8): 256, (20, 10): 1024, (24, 8): 1296}
     ok = True
     for (n, d), expect in grid.items():
         start = time.perf_counter()
@@ -46,9 +47,12 @@ def test_criterion_1_vertex_counts():
 def test_criterion_2_f_vector_oracle_match():
     start = time.perf_counter()
     ok = faces.f_vector(constructors.pstar(12, 6)) == (64, 192, 240, 160, 60, 12, 1)
-    for n, d in ((6, 3), (7, 3), (8, 4), (10, 4), (9, 5)):
+    for n, d in ((6, 3), (7, 3), (8, 4), (10, 4), (9, 5), (14, 8)):
         enumerated = faces.f_vector(constructors.dual_cyclic(n, d))
         ok &= enumerated == formulas.dual_cyclic_f_vector(n, d)
+    # The paper's d = 8..10 instances, bounded and not, at the default budget.
+    for n, d in ((16, 8), (17, 9), (20, 10), (21, 9)):
+        ok &= faces.f_vector(constructors.pstar(n, d)) == formulas.pstar_f_vector(n, d)
     ok &= time.perf_counter() - start < 120
     assert _report(2, "full f-vector oracle match", ok)
 

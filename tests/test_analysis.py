@@ -148,17 +148,24 @@ def test_shared_analysis_matches_fresh_calls(build, expected_errors):
             assert fresh[0] == "ok", (name, fresh)
 
 
+OVER_CAP = ("n=60, d=7: the Upper Bound Theorem allows 722433 faces; "
+            "work 60 * 722433 = 43345980 exceeds max_work=")
+
+
 def test_caps_apply_before_the_vertex_scan():
-    big = constructors.dual_cyclic(60, 7)  # C(60,7) = 386206920 subsets
+    big = constructors.dual_cyclic(60, 7)  # sum_k f_k(c*(61,7)) = 722433
     for check in (lambda: hvector.indegree_hvector(big, 0),
                   lambda: hvector.strengthened_ubt_check(big),
                   lambda: faces.is_simple(big)):
         start = time.perf_counter()
-        with pytest.raises(CapExceededError, match="386206920"):
+        with pytest.raises(CapExceededError) as exc:
             check()
         assert time.perf_counter() - start < 1
-    with pytest.raises(CapExceededError, match=r"over max_subsets=1000000$"):
-        faces.Analysis(big, max_subsets=10 ** 6)
+        assert str(exc.value) == f"{OVER_CAP}5000000"
+    with pytest.raises(CapExceededError) as exc:
+        faces.Analysis(big, max_work=43345979)
+    assert str(exc.value) == f"{OVER_CAP}43345979"
+    faces.Analysis(big, max_work=43345980)  # admitted; no work until read
 
 
 def test_hvector_over_cap_exits_3_quickly(tmp_path, capsys):
@@ -166,5 +173,24 @@ def test_hvector_over_cap_exits_3_quickly(tmp_path, capsys):
     start = time.perf_counter()
     assert run(["hvector", "--in", path, "--seed", "0", "--no-timing"]) == 3
     assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    assert "default caps" in err and "C(60,7) = 386206920" in err
+    assert capsys.readouterr().err == f"error: {OVER_CAP}5000000\n"
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["verify", "pstar", "--n", "2000", "--d", "1000"], "n=2000, d=1000"),
+    (["fvector", "--method", "enumerate", "--in", "EMPTY"], "n=0, d=1000"),
+    (["hvector", "--in", "EMPTY", "--seed", "0"], "n=0, d=1000"),
+])
+def test_large_dimension_exits_3_at_once(tmp_path, capsys, argv, header):
+    # The d-simplex's 2^(d+1) - 1 faces bound the face count from below, so
+    # a large d is rejected before the Upper Bound Theorem's O(d^2)
+    # binomials; a file with no rows still pays for the kernel's d + 1 lines.
+    empty = tmp_path / "empty.hrep"
+    empty.write_text("0 1000\n")
+    argv = [str(empty) if a == "EMPTY" else a for a in argv]
+    start = time.perf_counter()
+    assert run(argv + ["--no-timing"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: {header}: the 1000-simplex's 2^1001 - 1 faces alone put the "
+        "work over max_work=5000000\n")

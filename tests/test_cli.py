@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from li2poly import constructors
+from li2poly import constructors, faces
 from li2poly.cli import run
 from li2poly.errors import InputError
 from li2poly.model import parse_hrep
@@ -72,12 +72,12 @@ def test_usage_errors_exit_2(capsys):
       "--n-end", "8", "--step", "1", "--csv", "--decimal", "-2"],
      "--decimal must be at least 0, got -2"),
     (["fvector", "--in", "unread.hrep", "--method", "enumerate",
-      "--max-subsets", "0"], "--max-subsets must be at least 1, got 0"),
-    (["verify", "pstar", "--n", "8", "--d", "4", "--max-subsets", "-3"],
-     "--max-subsets must be at least 1, got -3"),
-    (["verify", "pstar", "--n", "8", "--d", "-2", "--max-subsets", "5"],
+      "--max-work", "0"], "--max-work must be at least 1, got 0"),
+    (["verify", "pstar", "--n", "8", "--d", "4", "--max-work", "-3"],
+     "--max-work must be at least 1, got -3"),
+    (["verify", "pstar", "--n", "8", "--d", "-2", "--max-work", "5"],
      "--d must be at least 0, got -2"),
-    (["verify", "dualcyclic", "--n", "-3", "--d", "3", "--max-subsets", "5"],
+    (["verify", "dualcyclic", "--n", "-3", "--d", "3", "--max-work", "5"],
      "--n must be at least 0, got -3"),
     (["construct", "polygon", "--n", "-1"], "--n must be at least 0, got -1"),
     (["construct", "pstar", "--n", "8", "--d", "-4"],
@@ -190,7 +190,11 @@ def test_verify_applies_caps_before_building(monkeypatch, capsys, argv):
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exceeds the default caps" in captured.err
+    work = {"pstar": "n=2000, d=2: the Upper Bound Theorem allows 4003 faces; "
+                     "work 2000 * 4003 = 8006000",
+            "prism3": "n=20000, d=3: the Upper Bound Theorem allows 119997 "
+                      "faces; work 20000 * 119997 = 2399940000"}[argv[1]]
+    assert captured.err == f"error: {work} exceeds max_work=5000000\n"
 
 
 def test_verify_byte_identical_with_no_timing(capsys):
@@ -253,16 +257,21 @@ def test_profile_without_bounded_input_keeps_lp_scan_warning(tmp_path, capsys,
 
 def test_profile_over_cap_exits_3_with_profile(tmp_path, capsys):
     path = tmp_path / "dc.hrep"
-    assert run(["construct", "dualcyclic", "--n", "25", "--d", "4",
+    assert run(["construct", "dualcyclic", "--n", "60", "--d", "7",
                 "--out", str(path)]) == 0
     code, doc = run_json(capsys, ["profile", "--in", str(path)])
     assert code == 3
-    assert (doc["n"], doc["d"], doc["is_li2"]) == (25, 4, False)
+    assert (doc["n"], doc["d"], doc["is_li2"]) == (60, 7, False)
     assert doc["redundant_indices"] is None
     assert doc["warnings"] == [
-        "redundancy scan skipped: n=25, d=4 exceeds the default caps n<=24, "
-        "d<=7 (C(25,4) = 12650 subsystems of 4 rows bound the vertex count); "
-        "pass max_subsets to override"]
+        "redundancy scan skipped: n=60, d=7: the Upper Bound Theorem allows "
+        "722433 faces; work 60 * 722433 = 43345980 exceeds max_work=5000000"]
+    # dual_cyclic(25,4), 25 * 1249 = 31225 of work, is admitted.
+    assert run(["construct", "dualcyclic", "--n", "25", "--d", "4",
+                "--out", str(path)]) == 0
+    code, doc = run_json(capsys, ["profile", "--in", str(path)])
+    assert code == 0
+    assert (doc["n"], doc["d"], doc["redundant_indices"]) == (25, 4, [])
 
 
 def test_report_ratio_csv(capsys):
@@ -330,6 +339,23 @@ def test_verify_reports_failed_separation_at_triangle_factors(capsys):
     assert doc["checks"]["thm42_strict"] is False
     assert doc["checks"]["oracle_match"] is True
     assert doc["pass"] is False
+
+
+def test_face_count_over_the_upper_bound_exits_4(monkeypatch, capsys, tmp_path):
+    # A bound one below pstar(8,4)'s f_1 = 32 trips the f-vector's check.
+    path = str(tmp_path / "pstar.hrep")
+    assert run(["construct", "pstar", "--n", "8", "--d", "4", "--out", path]) == 0
+    argv = ["fvector", "--method", "enumerate", "--in", path, "--no-timing"]
+    code, doc = run_json(capsys, argv)
+    assert (code, doc["f"]) == (0, [16, 32, 24, 8, 1])
+    bound = faces.face_bound(8, 4)
+    monkeypatch.setattr(faces, "face_bound", lambda n, d: (bound[0], 31, *bound[2:]))
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: f-vector (16, 32, 24, 8, 1) exceeds "
+                            f"the Upper Bound Theorem's ({bound[0]}, 31, "
+                            f"{', '.join(map(str, bound[2:]))})\n")
 
 
 @pytest.mark.parametrize("module, attr", [

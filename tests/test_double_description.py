@@ -47,7 +47,7 @@ INSTANCES = {
 def _kernel(p: HPolytope):
     """(vertices, rays) from the kernel: vertices with tight sets as the scan
     gives them, rays scaled like recession_ray_candidates with zero sets."""
-    a = faces.Analysis(p, max_subsets=10 ** 9)
+    a = faces.Analysis(p, max_work=10 ** 9)
     rays = []
     for g, zeros in a.generators:
         if not g[-1]:

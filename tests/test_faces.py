@@ -8,7 +8,7 @@ from hypothesis import given
 import fraction_linalg
 from conftest import (RANDOM, cached_f_vector, square_pyramid,
                       two_variable_systems, unit_square)
-from li2poly import constructors, faces
+from li2poly import constructors, faces, formulas
 from li2poly.errors import (CapExceededError, NonPointedError,
                             RedundantInputError, UnboundedInputError)
 from li2poly.model import HPolytope, parse_hrep
@@ -157,21 +157,73 @@ def test_f_vector_invariant_under_row_permutation():
         assert faces.f_vector(p.permuted(order)) == base
 
 
-def test_caps_reject_oversized_input():
+def test_caps_reject_oversized_input(monkeypatch):
+    # The one rule: n rows times the Upper Bound Theorem's face count,
+    # sum_k f_k(c*(n + 1, d)), must fit the budget. dual_cyclic(25,2) has
+    # 26 + 26 + 1 = 53 faces at most, so 25 * 53 = 1325 of work.
     big = constructors.dual_cyclic(25, 2)
-    with pytest.raises(CapExceededError, match="default caps"):
-        faces.Analysis(big)
-    # explicit budget overrides the n-cap
-    assert faces.f_vector(faces.Analysis(big, max_subsets=10 ** 6)) == (25, 25, 1)
-    with pytest.raises(CapExceededError, match=r"C\(25,2\) = 300 subsystems"):
-        faces.Analysis(big, max_subsets=10)
-    # The 3-cube fits its C(6,3) = 20 vertex subsystems into a budget of 20,
-    # but its lattice has 27 faces (1 + 6 + 12 + 8).
+    assert faces.f_vector(big) == (25, 25, 1)
+    assert faces.f_vector(faces.Analysis(big, max_work=1325)) == (25, 25, 1)
+    with pytest.raises(CapExceededError,
+                       match=r"allows 53 faces; work 25 \* 53 = 1325 exceeds max_work=1324$"):
+        faces.Analysis(big, max_work=1324)
+    # The 3-cube's 6 rows allow f(c*(7,3)) = (10, 15, 7, 1): 6 * 33 = 198.
     cube = parse_hrep("6 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n"
                       "-1 0 0 0\n0 -1 0 0\n0 0 -1 0")
-    assert faces.f_vector(faces.Analysis(cube, max_subsets=27)) == (8, 12, 6, 1)
-    with pytest.raises(CapExceededError, match="faces exceed max_subsets=20"):
-        faces.Analysis(cube, max_subsets=20).lattice
+    assert faces.f_vector(faces.Analysis(cube, max_work=198)) == (8, 12, 6, 1)
+    monkeypatch.setattr(faces, "enumerate_vertices", lambda p: pytest.fail("ran"))
+    monkeypatch.setattr(faces, "face_lattice", lambda a: pytest.fail("ran"))
+    with pytest.raises(CapExceededError, match=r"work 6 \* 33 = 198 exceeds max_work=197$"):
+        faces.f_vector(faces.Analysis(cube, max_work=197))
+
+
+def test_caps_apply_one_rule():
+    # max(n, d) * sum(face_bound(n, d)) against the budget; the d-simplex
+    # shortcut only rejects what that product rejects too.
+    for d in range(8):
+        for n in (0, 1, d, d + 1, d + 5, 3 * d + 7):
+            size, total = max(n, d), sum(faces.face_bound(n, d))
+            assert total >= 2 ** (d + 1) - 1
+            for budget in {0, 1, size * (2 ** (d + 1) - 1) - 1,
+                           size * total - 1, size * total}:
+                if budget < 0:
+                    continue
+                if size * total > budget:
+                    with pytest.raises(CapExceededError):
+                        faces.check_caps(n, d, budget)
+                else:
+                    faces.check_caps(n, d, budget)
+
+
+def _check_face_bound(p):
+    # Upper Bound Theorem: a pointed polyhedron with n rows has at most
+    # f_k(c*(n + 1, d)) k-faces, lower-dimensional and unbounded ones too.
+    f = faces.f_vector(p)
+    bound = formulas.dual_cyclic_f_vector(p.n + 1, p.dim)
+    assert faces.face_bound(p.n, p.dim) == bound
+    assert all(fk <= bk for fk, bk in zip(f, bound)), (f, bound)
+
+
+@RANDOM
+@given(two_variable_systems())
+def test_face_counts_within_upper_bound_on_random_systems(p):
+    _check_face_bound(p)
+
+
+@RANDOM
+@given(two_variable_systems(equalities=1))
+def test_face_counts_within_upper_bound_on_lower_dimensional_systems(p):
+    _check_face_bound(p)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: constructors.pstar(7, 3),
+    lambda: HPolytope(3, square_pyramid().constraints[1:]),
+], ids=["pstar_7_3", "pyramid_cone"])
+def test_face_counts_within_upper_bound_on_unbounded_inputs(make):
+    p = make()
+    assert not faces.Analysis(p).bounded
+    _check_face_bound(p)
 
 
 def test_duplicate_rows_do_not_change_face_counts(square):

@@ -71,10 +71,11 @@ def test_orient_edges_redraw_limit():
 
 
 def test_objective_independence_small_instances():
-    assert hvector.objective_independence_check(constructors.convex_polygon(6),
-                                                [0, 1, 2, 3, 4])
-    assert hvector.objective_independence_check(constructors.dual_cyclic(8, 4),
-                                                [0, 1, 2])
+    for p, seeds in ((constructors.convex_polygon(6), [0, 1, 2, 3, 4]),
+                     (constructors.dual_cyclic(8, 4), [0, 1, 2])):
+        a = faces.Analysis(p)
+        assert ({hvector.indegree_hvector(a, s) for s in seeds}
+                == {hvector.h_from_f(a.f_vector)})
 
 
 def test_unique_source_and_sink_per_face():
