@@ -10,17 +10,19 @@ the same pass finds emptiness and a lineality space: its extreme rays
 with t > 0 are the vertices, those with t = 0 the extreme recession rays,
 and the polyhedron is bounded exactly when it has none of the latter.
 Each generator carries the bitset of rows it is tight on, and everything
-else is read from those incidences without a linear program.
+else is read from those incidences without a linear program; the pass
+tests ray adjacency on their transpose (Terzer & Stelling 2008).
 
 Faces are sets of generators: a face is the convex hull of its vertices
 plus the cone of its extreme rays, and it is cut out by the rows tight on
 all of it. Holding, for each row, the bitset of generators it is tight on,
 the lattice is closed under AND from P itself (Kaibel & Pfetsch 2002), and
 a face's closed tight set is the set of rows whose bitset contains it.
-After the kernel all work is combinatorial: the lattice order gives each
-face's dimension, facets are the maximal proper faces among the rows'
-bitsets, and the only other arithmetic is the cone-membership test for
-implicit equalities, one more run of the kernel (see redundant_rows).
+One pass of n ANDs per face gives the faces, their tight rows and, from
+the lattice order, their dimensions, all as bitsets. After the kernel all
+work is combinatorial: facets are the maximal proper faces among the
+rows' bitsets, and the only other arithmetic is the cone-membership test
+for implicit equalities, one more run of the kernel (see redundant_rows).
 
 The query functions below and in hvector take an HPolytope or an Analysis,
 which carries the work budget; sharing one enumerates the polytope once.
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import (CapExceededError, InfeasibleError, NonPointedError,
                      RedundantInputError, UnboundedInputError)
@@ -43,6 +45,7 @@ DEFAULT_MAX_WORK = 5_000_000
 FVector = tuple[int, ...]
 IntVec = tuple[int, ...]
 Generator = tuple[IntVec, int]
+BitFace = tuple[int, int, int]  # (dim, tight rows, generators), as bitsets
 
 
 @dataclass(frozen=True)
@@ -68,22 +71,21 @@ def _integer_rows(p: HPolytope) -> list[IntVec]:
     return [_cleared(c.coeffs + (-c.rhs,)) for c in p.constraints]
 
 
-def _members(bits: int) -> frozenset[int]:
-    """The positions of the set bits."""
-    out = []
-    while bits:
-        out.append((bits & -bits).bit_length() - 1)
-        bits &= bits - 1
-    return frozenset(out)
+def _bits(x: int):
+    """The positions of the set bits, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
-def _incidence(n: int, row_sets) -> list[int]:
-    """Bit k of entry i is set iff row i is in the k-th of the row sets."""
-    on_row = [0] * n
-    for k, rows in enumerate(row_sets):
-        for i in rows:
-            on_row[i] |= 1 << k
-    return on_row
+def _transpose(bitsets: list[int], n: int) -> list[int]:
+    """Bit k of entry i is set iff bit i of bitsets[k] is, for i < n."""
+    on_row = [bytearray(len(bitsets) // 8 + 1) for _ in range(n)]
+    for k, z in enumerate(bitsets):
+        for i in _bits(z):
+            on_row[i][k >> 3] |= 1 << (k & 7)
+    return [int.from_bytes(bits, "little") for bits in on_row]
 
 
 def _dot(u: IntVec, v: IntVec) -> int:
@@ -108,8 +110,13 @@ def enumerate_vertices(p: HPolytope) -> list[Generator]:
     the other lines and rays are projected along l onto the row's
     hyperplane. Once no line is cut, each adjacent pair of rays on opposite
     sides of the row is joined: no third ray is tight on every row both are
-    tight on. Raises InfeasibleError when no ray has t > 0, and else
-    NonPointedError when a line is left.
+    tight on. That is tested on the transposed zero sets, on[r] = the rays
+    tight on row r (Terzer & Stelling, Bioinformatics 24, 2008): adjacent
+    rays share at least need = d - 1 - (lines left) rows, bit-sliced
+    counters over a + ray's rows pick the - rays that do, and such a pair
+    is adjacent iff ANDing on[r] over its common rows, from all rays,
+    leaves the pair alone. Raises InfeasibleError when no ray has t > 0,
+    and else NonPointedError when a line is left.
     """
     d, n = p.dim, p.n
     lines = [tuple(int(j == k) for j in range(d + 1)) for k in range(d + 1)]
@@ -129,17 +136,24 @@ def enumerate_vertices(p: HPolytope) -> list[Generator]:
             zeros = [z | bit for z in zeros] + [seen]
         else:
             values = [_dot(h, r) for r in rays]
-            plus = [k for k, v in enumerate(values) if v > 0]
-            minus = [k for k, v in enumerate(values) if v < 0]
-            need = d - 1 - len(lines)  # rows two adjacent rays share, at least
+            minus = sum(1 << k for k, v in enumerate(values) if v < 0)
+            plus = [k for k, v in enumerate(values) if v > 0 and minus]  # to be joined
+            need = max(d - 1 - len(lines), 0)  # rows two adjacent rays share, at least
+            on = _transpose(zeros, n + 1) if plus else []  # rays tight on row
+            everyone = (1 << len(rays)) - 1
             new_rays, new_zeros = [], []
             for a in plus:
-                for b in minus:
-                    common = zeros[a] & zeros[b]
-                    if common.bit_count() < need:
-                        continue
-                    if any(z & common == common for k, z in enumerate(zeros)
-                           if k != a and k != b):
+                ge = [minus] + [0] * need  # ge[m]: the - rays sharing >= m rows with a
+                for r in _bits(zeros[a]):
+                    for m in range(need, 0, -1):
+                        ge[m] |= ge[m - 1] & on[r]
+                for b in _bits(ge[need]):
+                    common, pair, alike = zeros[a] & zeros[b], 1 << a | 1 << b, everyone
+                    for r in _bits(common):
+                        alike &= on[r]
+                        if alike == pair:
+                            break
+                    if alike != pair:
                         continue
                     va, vb = values[a], values[b]
                     new_rays.append(_primitive([va * y - vb * x for x, y
@@ -202,7 +216,9 @@ class Analysis:
     integer generators of enumerate_vertices and their row bitsets are
     the source of everything else: boundedness and redundancy are read
     from them directly, and `Fraction` vertices are built only for the
-    lattice, the edge graph and the h-vectors. check_caps runs here first.
+    lattice, the edge graph and the h-vectors. The lattice is held as
+    bitsets (face_bits); `lattice` builds Face records from them for the
+    callers that read those. check_caps runs here first.
     """
     p: HPolytope
     max_work: int = DEFAULT_MAX_WORK
@@ -221,12 +237,22 @@ class Analysis:
     @cached_property
     def vertices(self) -> list[tuple[Vec, frozenset[int]]]:
         """Each vertex with its tight set, sorted by coordinates."""
-        return sorted((tuple(Fraction(x, g[-1]) for x in g[:-1]), _members(zeros))
+        return sorted((tuple(Fraction(x, g[-1]) for x in g[:-1]),
+                       frozenset(_bits(zeros)))
                       for g, zeros in self.generators if g[-1])
 
     @cached_property
-    def lattice(self) -> list[Face]:
+    def face_bits(self) -> list[BitFace]:
         return face_lattice(self)
+
+    @cached_property
+    def lattice(self) -> list[Face]:
+        """The faces as Face records, sorted by (dim, tight_set)."""
+        v = len(self.vertices)
+        return sorted((Face(frozenset(_bits(tight)), dim,
+                            None if face >> v else frozenset(_bits(face)))
+                       for dim, tight, face in self.face_bits),
+                      key=lambda f: (f.dim, sorted(f.tight_set)))
 
     @cached_property
     def redundant(self) -> frozenset[int]:
@@ -235,8 +261,8 @@ class Analysis:
     @cached_property
     def f_vector(self) -> FVector:
         counts = [0] * (self.p.dim + 1)
-        for face in self.lattice:
-            counts[face.dim] += 1
+        for dim, _, _ in self.face_bits:
+            counts[dim] += 1
         f, bound = tuple(counts), face_bound(self.p.n, self.p.dim)
         if any(fk > bk for fk, bk in zip(f, bound)):  # the enumerator or the bound is wrong
             raise AssertionError(f"f-vector {f} exceeds the Upper Bound Theorem's {bound}")
@@ -247,11 +273,11 @@ class Analysis:
         if not self.bounded:
             raise UnboundedInputError("edge graph requires a bounded polytope")
         edges = []
-        for f in self.lattice:
-            if f.dim == 1:
-                if len(f.vertex_ids) != 2:
+        for dim, _, face in self.face_bits:
+            if dim == 1:
+                if face.bit_count() != 2:
                     raise AssertionError("bounded 1-face without exactly two vertices")
-                edges.append(tuple(sorted(f.vertex_ids)))
+                edges.append(tuple(_bits(face)))
         return [x for x, _ in self.vertices], sorted(edges)
 
 
@@ -260,7 +286,7 @@ def analyze(x: HPolytope | Analysis) -> Analysis:
     return x if isinstance(x, Analysis) else Analysis(x)
 
 
-def face_lattice(a: Analysis) -> list[Face]:
+def face_lattice(a: Analysis) -> list[BitFace]:
     """Every nonempty face of a feasible pointed polyhedron, P itself included.
 
     A face is held as the bitset of generators on it: vertices at bits
@@ -268,41 +294,42 @@ def face_lattice(a: Analysis) -> list[Face]:
     Row i's bitset holds the generators it is tight on. Every face is P's
     bitset ANDed with some row bitsets, so ANDing each face found with each
     row, from P down, reaches them all; a result without a vertex is empty
-    (Kaibel & Pfetsch 2002). The closed tight set is the rows whose bitset
-    contains the face. The faces form a graded poset with the vertices at
-    dimension 0, and each facet of a face F is F AND some row, so one pass
-    in increasing size sets dim F to one more than the largest dimension
-    of the nonempty F AND row other than F, or 0 when there is none; no
-    row coefficient is read. Faces are returned sorted by (dim, tight_set).
+    (Kaibel & Pfetsch 2002). One pass visits the faces in decreasing size
+    and ANDs each with the n rows once: the results equal to the face are
+    its tight rows, and the others that hold a vertex are faces below it,
+    new or seen. Each facet of a face F is F AND some row, and a face that
+    reaches F without having it as a facet contains a smaller face that
+    does. So the last face to reach F, a smallest one, has F as a facet,
+    and F's codimension is one more than that face's. The faces form a
+    graded poset with the vertices at dimension 0, so the vertices'
+    codimension is dim P; no row coefficient is read. Returns
+    (dim, tight rows, generators) triples of bitsets, in visiting order.
     The analysis supplies the generators and applies the cap. This is the
-    builder behind Analysis.lattice: each call builds a new lattice, so
-    read analyze(p).lattice for the cached one.
+    builder behind Analysis.face_bits: each call builds a new lattice, so
+    read analyze(p).face_bits, or analyze(p).lattice for Face records.
     """
     vertices = a.vertices
-    on_row = _incidence(a.p.n, [tight for _, tight in vertices]
-                        + [_members(z) for g, z in a.generators if not g[-1]])
+    on_row = _transpose([sum(1 << i for i in tight) for _, tight in vertices]
+                        + [z for g, z in a.generators if not g[-1]], a.p.n)
     on_vertex = (1 << len(vertices)) - 1
     everything = (1 << len(a.generators)) - 1
-    found, stack = {everything}, [everything]
-    while stack:
-        face = stack.pop()
-        for bits in on_row:
-            sub = face & bits
-            if sub & on_vertex and sub not in found:
-                found.add(sub)
-                stack.append(sub)
-
-    dims: dict[int, int] = {}
-    for face in sorted(found, key=int.bit_count):
-        dims[face] = 1 + max((dims[sub] for bits in on_row
-                              if (sub := face & bits) != face and sub & on_vertex),
-                             default=-1)
-    lattice = []
-    for face, fdim in dims.items():
-        tight = [i for i, bits in enumerate(on_row) if bits & face == face]
-        vertex_ids = None if face >> len(vertices) else _members(face)
-        lattice.append(Face(frozenset(tight), fdim, vertex_ids))
-    return sorted(lattice, key=lambda f: (f.dim, sorted(f.tight_set)))
+    codim = {everything: 0}
+    by_size = [[] for _ in range(everything.bit_count())] + [[everything]]
+    found = []
+    for same_size in reversed(by_size):
+        for face in same_size:
+            below, tight = codim[face] + 1, 0
+            for i, bits in enumerate(on_row):
+                sub = face & bits
+                if sub == face:
+                    tight |= 1 << i
+                elif sub & on_vertex:
+                    if sub not in codim:
+                        by_size[sub.bit_count()].append(sub)
+                    codim[sub] = below
+            found.append((codim[face], tight, face))
+    top = max(codim.values())
+    return [(top - c, tight, face) for c, tight, face in found]
 
 
 def _in_cone(v: IntVec, gens: list[IntVec]) -> bool:
@@ -349,7 +376,7 @@ def redundant_rows(a: Analysis) -> frozenset[int]:
         raise unbounded from None
     if not a.bounded:
         raise unbounded
-    on_row = _incidence(p.n, (_members(zeros) for _, zeros in generators))
+    on_row = _transpose([zeros for _, zeros in generators], p.n)
     everywhere = (1 << len(generators)) - 1
     normals = [r[:-1] for r in _integer_rows(p)]
     active = set(range(p.n))
@@ -401,12 +428,8 @@ def facet_adjacency_count(x: HPolytope | Analysis) -> int:
         raise RedundantInputError(
             f"rows {sorted(a.redundant)} are redundant; adjacency counts need "
             "a nonredundant system")
-    count = 0
-    for face in a.lattice:
-        if face.dim == a.p.dim - 2:
-            t = len(face.tight_set)
-            count += t * (t - 1) // 2
-    return count
+    return sum(comb(tight.bit_count(), 2)
+               for dim, tight, _ in a.face_bits if dim == a.p.dim - 2)
 
 
 def edge_graph(x: HPolytope | Analysis) -> tuple[list[Vec], list[tuple[int, int]]]:

@@ -54,15 +54,6 @@ class Constraint:
     rhs: Fraction
     label: str | None = field(default=None, compare=False)
 
-    def slack(self, x: Vec) -> Fraction:
-        return self.rhs - dot(self.coeffs, x)
-
-    def is_tight(self, x: Vec) -> bool:
-        return dot(self.coeffs, x) == self.rhs
-
-    def holds(self, x: Vec) -> bool:
-        return dot(self.coeffs, x) <= self.rhs
-
 
 @dataclass(frozen=True)
 class HPolytope:
@@ -81,22 +72,6 @@ class HPolytope:
     @property
     def n(self) -> int:
         return len(self.constraints)
-
-    def rows(self) -> list[Vec]:
-        return [c.coeffs for c in self.constraints]
-
-    def rhs(self) -> list[Fraction]:
-        return [c.rhs for c in self.constraints]
-
-    def contains(self, x: Vec) -> bool:
-        return all(c.holds(x) for c in self.constraints)
-
-    def tight_at(self, x: Vec) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.constraints) if c.is_tight(x))
-
-    def permuted(self, order) -> "HPolytope":
-        """Same polyhedron with rows reordered; family metadata is dropped."""
-        return HPolytope(self.dim, tuple(self.constraints[i] for i in order))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from li2poly import constructors, faces, model
 from li2poly.model import Constraint, HPolytope
-from fraction_linalg import dot, rank
+from fraction_linalg import dot, rank, rows_of
 
 
 def unit_square() -> model.HPolytope:
@@ -85,7 +85,7 @@ def two_variable_systems(draw, equalities: int = 0) -> HPolytope:
         s = draw(SCALES)
         scaled.append(Constraint(tuple(s * a for a in c.coeffs), s * c.rhs))
     p = HPolytope(d, tuple(draw(st.permutations(scaled))))
-    assume(rank(p.rows()) == d)
+    assume(rank(rows_of(p)) == d)
     return p
 
 
@@ -107,6 +107,11 @@ def cached_analysis(family: str, n: int, d: int) -> faces.Analysis:
 
 def cached_f_vector(family: str, n: int, d: int) -> tuple[int, ...]:
     return cached_analysis(family, n, d).f_vector
+
+
+def permuted(p: HPolytope, order) -> HPolytope:
+    """p with its rows in the given order; family metadata is dropped."""
+    return HPolytope(p.dim, tuple(p.constraints[i] for i in order))
 
 
 @pytest.fixture

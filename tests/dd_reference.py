@@ -1,0 +1,128 @@
+"""Reference double-description kernel and face lattice, for differential tests.
+
+These are the straightforward forms that faces.enumerate_vertices and
+faces.face_lattice replaced, kept as they were apart from names, docstrings
+and the split of the lattice into its faces and their Face records. The
+kernel tests each (+, -) ray pair against every other ray's zero set,
+which costs O(R) per pair. The lattice closes the faces, then takes their
+dimensions, then their tight sets, in three passes of n ANDs per face.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+from li2poly.errors import InfeasibleError, NonPointedError
+from li2poly.faces import Face, _integer_rows
+from li2poly.model import HPolytope
+
+
+def _members(bits: int) -> frozenset[int]:
+    out = []
+    while bits:
+        out.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    return frozenset(out)
+
+
+def _incidence(n: int, row_sets) -> list[int]:
+    on_row = [0] * n
+    for k, rows in enumerate(row_sets):
+        for i in rows:
+            on_row[i] |= 1 << k
+    return on_row
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def reference_vertices(p: HPolytope):
+    """The generators of faces.enumerate_vertices, by the pairwise scan."""
+    d, n = p.dim, p.n
+    lines = [tuple(int(j == k) for j in range(d + 1)) for k in range(d + 1)]
+    rays, zeros, seen = [], [], 0
+    for i, h in [(n, (0,) * d + (-1,)), *enumerate(_integer_rows(p))]:
+        bit = 1 << i
+        line = next((l for l in lines if _dot(h, l)), None)
+        if line is not None:
+            lines.remove(line)
+            hl = _dot(h, line)
+            if hl > 0:
+                line, hl = tuple(-x for x in line), -hl
+            def project(x):
+                return _primitive([_dot(h, x) * y - hl * v for v, y in zip(x, line)])
+            lines = [project(l) for l in lines]
+            rays = [project(r) for r in rays] + [line]
+            zeros = [z | bit for z in zeros] + [seen]
+        else:
+            values = [_dot(h, r) for r in rays]
+            plus = [k for k, v in enumerate(values) if v > 0]
+            minus = [k for k, v in enumerate(values) if v < 0]
+            need = d - 1 - len(lines)
+            new_rays, new_zeros = [], []
+            for a in plus:
+                for b in minus:
+                    common = zeros[a] & zeros[b]
+                    if common.bit_count() < need:
+                        continue
+                    if any(z & common == common for k, z in enumerate(zeros)
+                           if k != a and k != b):
+                        continue
+                    va, vb = values[a], values[b]
+                    new_rays.append(_primitive([va * y - vb * x for x, y
+                                                in zip(rays[a], rays[b])]))
+                    new_zeros.append(common | bit)
+            for k, v in enumerate(values):
+                if v <= 0:
+                    new_rays.append(rays[k])
+                    new_zeros.append(zeros[k] | bit if v == 0 else zeros[k])
+            rays, zeros = new_rays, new_zeros
+        seen |= bit
+    if not any(r[-1] for r in rays):
+        raise InfeasibleError("polyhedron is empty")
+    if lines:
+        raise NonPointedError(
+            "row rank below the ambient dimension: nonzero lineality space")
+    rows_mask = (1 << n) - 1
+    return sorted((r, z & rows_mask) for r, z in zip(rays, zeros))
+
+
+def reference_faces(a) -> dict[int, tuple[int, list[int]]]:
+    """Each face's generator bitset, with its dim and tight rows, by
+    closure, then dimensions, then tight sets."""
+    vertices = a.vertices
+    on_row = _incidence(a.p.n, [tight for _, tight in vertices]
+                        + [_members(z) for g, z in a.generators if not g[-1]])
+    on_vertex = (1 << len(vertices)) - 1
+    everything = (1 << len(a.generators)) - 1
+    found, stack = {everything}, [everything]
+    while stack:
+        face = stack.pop()
+        for bits in on_row:
+            sub = face & bits
+            if sub & on_vertex and sub not in found:
+                found.add(sub)
+                stack.append(sub)
+
+    dims: dict[int, int] = {}
+    for face in sorted(found, key=int.bit_count):
+        dims[face] = 1 + max((dims[sub] for bits in on_row
+                              if (sub := face & bits) != face and sub & on_vertex),
+                             default=-1)
+    return {face: (fdim, [i for i, bits in enumerate(on_row) if bits & face == face])
+            for face, fdim in dims.items()}
+
+
+def reference_lattice(a) -> list[Face]:
+    """The faces of Analysis.lattice."""
+    lattice = []
+    for face, (fdim, tight) in reference_faces(a).items():
+        vertex_ids = None if face >> len(a.vertices) else _members(face)
+        lattice.append(Face(frozenset(tight), fdim, vertex_ids))
+    return sorted(lattice, key=lambda f: (f.dim, sorted(f.tight_set)))

@@ -136,3 +136,22 @@ def affine_rank(points: Sequence[Vec]) -> int:
     base = points[0]
     diffs = [list(vec_sub(p, base)) for p in points[1:]]
     return len(_row_reduce(diffs)) if diffs else 0
+
+
+def rows_of(p) -> list[Vec]:
+    """The coefficient rows of an HPolytope."""
+    return [c.coeffs for c in p.constraints]
+
+
+def slack(c, x: Sequence[Fraction]) -> Fraction:
+    """rhs - coeffs.x of a Constraint: nonnegative iff x satisfies it."""
+    return c.rhs - dot(c.coeffs, x)
+
+
+def contains(p, x: Sequence[Fraction]) -> bool:
+    return all(slack(c, x) >= 0 for c in p.constraints)
+
+
+def tight_at(p, x: Sequence[Fraction]) -> frozenset[int]:
+    """The rows of an HPolytope that x satisfies with equality."""
+    return frozenset(i for i, c in enumerate(p.constraints) if slack(c, x) == 0)

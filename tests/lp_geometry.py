@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from li2poly.errors import InfeasibleError, UnboundedInputError
 from li2poly.model import HPolytope
-from fraction_linalg import ONE, ZERO, Vec
+from fraction_linalg import ONE, ZERO, Vec, rows_of
 from lp_simplex import OPTIMAL, max_min_slack, solve_lp_max
 
 
@@ -18,7 +18,7 @@ def feasible_point(p: HPolytope) -> Vec | None:
     """Any point of the polyhedron, or None when it is empty."""
     if p.n == 0:
         return (ZERO,) * p.dim
-    value, z = max_min_slack(p.rows(), p.rhs(), p.dim)
+    value, z = max_min_slack(rows_of(p), [c.rhs for c in p.constraints], p.dim)
     return tuple(z) if value >= 0 else None
 
 
@@ -33,7 +33,7 @@ def is_bounded(p: HPolytope) -> bool:
     """
     if feasible_point(p) is None:
         raise InfeasibleError("polyhedron is empty")
-    rows = list(p.rows())
+    rows = rows_of(p)
     rhs = [ZERO] * p.n
     for i in range(p.dim):
         box_row = tuple(ONE if j == i else ZERO for j in range(p.dim))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from li2poly.model import Constraint, HPolytope
-from fraction_linalg import Vec, dot, rank, solve_affine
+from fraction_linalg import Vec, dot, rank, solve_affine, tight_at
 from lp_geometry import is_bounded
 from lp_simplex import UNBOUNDED, max_min_slack, solve_lp_max
 from scan_oracle import scan_vertices
@@ -130,7 +130,7 @@ def lp_face_lattice(p: HPolytope
     for cand in candidates:
         witness = relative_interior_point(p, cand)
         assert witness is not None, "a subset of a vertex tight set has a face"
-        closed = p.tight_at(witness)
+        closed = tight_at(p, witness)
         if closed not in dims:
             dims[closed] = d - rank([p.constraints[i].coeffs for i in sorted(closed)])
     bounded = faces_bounded(p, dims)

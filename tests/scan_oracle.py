@@ -13,7 +13,8 @@ from itertools import combinations
 
 from li2poly.errors import NonPointedError
 from li2poly.model import HPolytope
-from fraction_linalg import ZERO, Vec, dot, rank, solve_affine, solve_linear_system
+from fraction_linalg import (ZERO, Vec, contains, dot, rank, rows_of, solve_affine,
+                             solve_linear_system, tight_at)
 
 
 def scan_vertices(p: HPolytope) -> list[tuple[Vec, frozenset[int]]]:
@@ -24,7 +25,7 @@ def scan_vertices(p: HPolytope) -> list[tuple[Vec, frozenset[int]]]:
     point. Raises NonPointedError when the lineality space is nonzero.
     """
     d = p.dim
-    if rank(tuple(p.rows())) < d:
+    if rank(rows_of(p)) < d:
         raise NonPointedError(
             "row rank below the ambient dimension: nonzero lineality space")
     seen: dict[Vec, frozenset[int]] = {}
@@ -34,8 +35,8 @@ def scan_vertices(p: HPolytope) -> list[tuple[Vec, frozenset[int]]]:
         x = solve_linear_system(m, rhs)
         if x is None or x in seen:
             continue
-        if p.contains(x):
-            seen[x] = p.tight_at(x)
+        if contains(p, x):
+            seen[x] = tight_at(p, x)
     return sorted(seen.items())
 
 
@@ -48,7 +49,7 @@ def recession_ray_candidates(p: HPolytope,
     tight at two vertices cut out a bounded segment, not a ray.
     """
     d = p.dim
-    rows = p.rows()
+    rows = rows_of(p)
     holders = Counter(sub for _, tight in vertices
                       for sub in combinations(sorted(tight), d - 1))
     found: set[Vec] = set()

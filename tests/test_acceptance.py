@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from conftest import (cached_analysis, cached_f_vector, cached_instance,
-                      unit_square)
+                      permuted, unit_square)
 from li2poly import cli, constructors, faces, formulas, hvector
 from li2poly.errors import RedundantInputError
 from li2poly.model import HPolytope
@@ -215,7 +215,7 @@ def test_criterion_9_robustness(capsys):
         for _ in range(2):
             order = list(range(p.n))
             rng.shuffle(order)
-            if faces.f_vector(p.permuted(order)) != base:
+            if faces.f_vector(permuted(p, order)) != base:
                 ok = False
     with capsys.disabled():
         assert _report(9, "robustness and permutation invariance", ok)

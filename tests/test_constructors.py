@@ -5,7 +5,7 @@ import pytest
 from li2poly import constructors, faces, model
 from li2poly.cli import run
 from li2poly.errors import DivisibilityError
-from fraction_linalg import ZERO
+from fraction_linalg import ZERO, slack
 from lp_geometry import is_bounded
 
 
@@ -18,7 +18,7 @@ def test_polygon_five_gon_structure():
     assert p.n == 5
     assert len(faces.enumerate_vertices(p)) == 5
     origin = (ZERO, ZERO)
-    assert all(c.slack(origin) >= 0 for c in p.constraints)
+    assert all(slack(c, origin) >= 0 for c in p.constraints)
 
 
 def test_polygon_each_edge_tight_on_two_vertices():
@@ -29,7 +29,7 @@ def test_polygon_each_edge_tight_on_two_vertices():
     for m in range(3, 61):
         points = constructors.polygon_vertices(m)
         for c in constructors.convex_polygon(m).constraints:
-            slacks = [c.slack(v) for v in points]
+            slacks = [slack(c, v) for v in points]
             assert min(slacks) == 0 and slacks.count(0) == 2, (m, c.label)
 
 

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (RANDOM, SMALL, square_pyramid, two_variable_systems,
-                      unit_square)
+from conftest import (RANDOM, SMALL, permuted, square_pyramid,
+                      two_variable_systems, unit_square)
 from li2poly import constructors, faces, formulas
 from li2poly.errors import InfeasibleError, LI2PolyError, NonPointedError
 from li2poly.model import Constraint, HPolytope, parse_hrep
@@ -66,7 +66,7 @@ def _scan(p: HPolytope):
 
 
 def _relabel(result, order):
-    """Map row indices of a run on p.permuted(order) back to p's rows."""
+    """Map row indices of a run on permuted(p, order) back to p's rows."""
     vertices, rays = result
     back = lambda tight: frozenset(order[i] for i in tight)
     return ([(x, back(t)) for x, t in vertices], [(y, back(z)) for y, z in rays])
@@ -81,7 +81,7 @@ def test_kernel_matches_subset_scan(name):
     for _ in range(3):
         order = list(range(p.n))
         rng.shuffle(order)
-        assert _relabel(_kernel(p.permuted(order)), order) == expected
+        assert _relabel(_kernel(permuted(p, order)), order) == expected
 
 
 @RANDOM

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 import fraction_linalg
-from conftest import (RANDOM, cached_f_vector, square_pyramid,
+from conftest import (RANDOM, cached_f_vector, permuted, square_pyramid,
                       two_variable_systems, unit_square)
 from li2poly import constructors, faces, formulas
 from li2poly.errors import (CapExceededError, NonPointedError,
@@ -154,7 +154,7 @@ def test_f_vector_invariant_under_row_permutation():
         base = faces.f_vector(p)
         order = list(range(p.n))
         rng.shuffle(order)
-        assert faces.f_vector(p.permuted(order)) == base
+        assert faces.f_vector(permuted(p, order)) == base
 
 
 def test_caps_reject_oversized_input(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import permuted
 from li2poly import constructors
 from li2poly.errors import HRepParseError
 from li2poly.model import (Constraint, HPolytope, li2_profile, parse_hrep,
@@ -129,7 +130,7 @@ def test_profile_buckets_partition_rows():
 
 def test_permuted_preserves_rows():
     p = constructors.prism3(6)
-    q = p.permuted(list(reversed(range(p.n))))
+    q = permuted(p, list(reversed(range(p.n))))
     assert q.constraints == tuple(reversed(p.constraints))
 
 
