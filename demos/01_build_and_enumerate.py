@@ -15,11 +15,12 @@ print(serialize_hrep(convex_polygon(5)))
 
 print("pstar(8, 4): two quadrilaterals on the pairs (x1,x2) and (x3,x4)")
 p = pstar(8, 4)
-vertices = Analysis(p).vertices
+vertices = Analysis(p).vertices  # (point, bitset of tight rows) pairs
 print(f"  {p.n} rows in R^{p.dim}, {len(vertices)} vertices "
       f"(formula says (8/2)^2 = 16)")
-print(f"  one vertex and its tight rows: {vertices[0][0]} "
-      f"-> rows {sorted(vertices[0][1])}")
+point, tight = vertices[0]
+print(f"  one vertex and its tight rows: {point} "
+      f"-> rows {[i for i in range(p.n) if tight >> i & 1]}")
 
 print(f"  f-vector, enumerated: {f_vector(p)}")
 print(f"  f-vector, closed form: {pstar_f_vector(8, 4)}")

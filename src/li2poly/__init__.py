@@ -8,8 +8,8 @@ that oracle.
 """
 
 from .constructors import convex_polygon, dual_cyclic, prism3, pstar
-from .faces import (Analysis, Face, analyze, edge_graph, enumerate_vertices,
-                    f_vector, face_lattice, facet_adjacency_count, is_simple,
+from .faces import (Analysis, analyze, edge_graph, enumerate_vertices, f_vector,
+                    face_lattice, facet_adjacency_count, is_simple,
                     redundant_constraints)
 from .formulas import (fk_dual_cyclic, fk_pstar, gale_evenness_facet_count,
                        leading_terms, lemma41_bound, ratio_report,
@@ -20,7 +20,7 @@ from .model import (Constraint, HPolytope, LI2Profile, li2_profile,
                     parse_hrep, serialize_hrep)
 
 __all__ = [
-    "Constraint", "HPolytope", "LI2Profile", "Face", "Analysis", "analyze",
+    "Constraint", "HPolytope", "LI2Profile", "Analysis", "analyze",
     "parse_hrep", "serialize_hrep", "li2_profile",
     "convex_polygon", "pstar", "dual_cyclic", "prism3",
     "enumerate_vertices", "face_lattice", "f_vector",

@@ -15,9 +15,10 @@ tests ray adjacency on their transpose (Terzer & Stelling 2008).
 
 Faces are sets of generators: a face is the convex hull of its vertices
 plus the cone of its extreme rays, and it is cut out by the rows tight on
-all of it. Holding, for each row, the bitset of generators it is tight on,
-the lattice is closed under AND from P itself (Kaibel & Pfetsch 2002), and
-a face's closed tight set is the set of rows whose bitset contains it.
+all of it; bit k of a face is generator k. Holding, for each row, the
+bitset of generators it is tight on, the lattice is closed under AND from
+P itself (Kaibel & Pfetsch 2002), and a face's closed tight set is the set
+of rows whose bitset contains it.
 One pass of n ANDs per face gives the faces, their tight rows and, from
 the lattice order, their dimensions, all as bitsets. After the kernel all
 work is combinatorial: facets are the maximal proper faces among the
@@ -35,8 +36,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
 
-from .errors import (CapExceededError, InfeasibleError, NonPointedError,
-                     RedundantInputError, UnboundedInputError)
+from .errors import (CapExceededError, InfeasibleError, InputError,
+                     NonPointedError, RedundantInputError, UnboundedInputError)
 from .formulas import dual_cyclic_f_vector
 from .model import Constraint, HPolytope, Vec
 
@@ -46,18 +47,6 @@ FVector = tuple[int, ...]
 IntVec = tuple[int, ...]
 Generator = tuple[IntVec, int]
 BitFace = tuple[int, int, int]  # (dim, tight rows, generators), as bitsets
-
-
-@dataclass(frozen=True)
-class Face:
-    """A nonempty face, keyed by its maximal (closed) tight constraint set.
-
-    `vertex_ids` indexes into the analysis's vertex list and is None for
-    unbounded faces.
-    """
-    tight_set: frozenset[int]
-    dim: int
-    vertex_ids: frozenset[int] | None
 
 
 def _cleared(entries) -> IntVec:
@@ -214,11 +203,11 @@ class Analysis:
     Each property is computed on first access and cached on this object
     only; cached values are shared, so callers must not mutate them. The
     integer generators of enumerate_vertices and their row bitsets are
-    the source of everything else: boundedness and redundancy are read
-    from them directly, and `Fraction` vertices are built only for the
-    lattice, the edge graph and the h-vectors. The lattice is held as
-    bitsets (face_bits); `lattice` builds Face records from them for the
-    callers that read those. check_caps runs here first.
+    the source of everything else, under one numbering: bit k of a face is
+    generators[k], and on_row, their transpose, is built once for the
+    lattice and the redundancy scan. Boundedness, simplicity, the lattice
+    (face_bits) and redundancy are read from these bitsets; `Fraction`
+    points are built only for the edge graph. check_caps runs here first.
     """
     p: HPolytope
     max_work: int = DEFAULT_MAX_WORK
@@ -235,24 +224,25 @@ class Analysis:
         return all(g[-1] for g, _ in self.generators)
 
     @cached_property
-    def vertices(self) -> list[tuple[Vec, frozenset[int]]]:
-        """Each vertex with its tight set, sorted by coordinates."""
-        return sorted((tuple(Fraction(x, g[-1]) for x in g[:-1]),
-                       frozenset(_bits(zeros)))
-                      for g, zeros in self.generators if g[-1])
+    def on_row(self) -> list[int]:
+        """Bit k of entry i is set iff row i is tight on generators[k]."""
+        return _transpose([zeros for _, zeros in self.generators], self.p.n)
+
+    @cached_property
+    def simple(self) -> bool:
+        """True iff every vertex is tight on exactly d rows."""
+        return all(zeros.bit_count() == self.p.dim
+                   for g, zeros in self.generators if g[-1])
+
+    @cached_property
+    def vertices(self) -> list[tuple[Vec, int]]:
+        """Each vertex's point and tight-row bitset, in generator order."""
+        return [(tuple(Fraction(x, g[-1]) for x in g[:-1]), zeros)
+                for g, zeros in self.generators if g[-1]]
 
     @cached_property
     def face_bits(self) -> list[BitFace]:
         return face_lattice(self)
-
-    @cached_property
-    def lattice(self) -> list[Face]:
-        """The faces as Face records, sorted by (dim, tight_set)."""
-        v = len(self.vertices)
-        return sorted((Face(frozenset(_bits(tight)), dim,
-                            None if face >> v else frozenset(_bits(face)))
-                       for dim, tight, face in self.face_bits),
-                      key=lambda f: (f.dim, sorted(f.tight_set)))
 
     @cached_property
     def redundant(self) -> frozenset[int]:
@@ -272,7 +262,7 @@ class Analysis:
     def edge_graph(self) -> tuple[list[Vec], list[tuple[int, int]]]:
         if not self.bounded:
             raise UnboundedInputError("edge graph requires a bounded polytope")
-        edges = []
+        edges = []  # every generator is a vertex, so bit k is point k
         for dim, _, face in self.face_bits:
             if dim == 1:
                 if face.bit_count() != 2:
@@ -289,9 +279,9 @@ def analyze(x: HPolytope | Analysis) -> Analysis:
 def face_lattice(a: Analysis) -> list[BitFace]:
     """Every nonempty face of a feasible pointed polyhedron, P itself included.
 
-    A face is held as the bitset of generators on it: vertices at bits
-    0..V-1 in the order of the analysis's vertex list, extreme rays above.
-    Row i's bitset holds the generators it is tight on. Every face is P's
+    A face is held as the bitset of generators on it: bit k is the
+    analysis's generators[k], a vertex or an extreme ray. Row i's bitset,
+    Analysis.on_row[i], holds the generators it is tight on. Every face is P's
     bitset ANDed with some row bitsets, so ANDing each face found with each
     row, from P down, reaches them all; a result without a vertex is empty
     (Kaibel & Pfetsch 2002). One pass visits the faces in decreasing size
@@ -304,14 +294,12 @@ def face_lattice(a: Analysis) -> list[BitFace]:
     graded poset with the vertices at dimension 0, so the vertices'
     codimension is dim P; no row coefficient is read. Returns
     (dim, tight rows, generators) triples of bitsets, in visiting order.
-    The analysis supplies the generators and applies the cap. This is the
-    builder behind Analysis.face_bits: each call builds a new lattice, so
-    read analyze(p).face_bits, or analyze(p).lattice for Face records.
+    The analysis supplies the generators and their transpose and applies
+    the cap. This is the function behind Analysis.face_bits: each call
+    builds a new lattice, so read analyze(p).face_bits.
     """
-    vertices = a.vertices
-    on_row = _transpose([sum(1 << i for i in tight) for _, tight in vertices]
-                        + [z for g, z in a.generators if not g[-1]], a.p.n)
-    on_vertex = (1 << len(vertices)) - 1
+    on_row = a.on_row
+    on_vertex = sum(1 << k for k, (g, _) in enumerate(a.generators) if g[-1])
     everything = (1 << len(a.generators)) - 1
     codim = {everything: 0}
     by_size = [[] for _ in range(everything.bit_count())] + [[everything]]
@@ -376,7 +364,7 @@ def redundant_rows(a: Analysis) -> frozenset[int]:
         raise unbounded from None
     if not a.bounded:
         raise unbounded
-    on_row = _transpose([zeros for _, zeros in generators], p.n)
+    on_row = a.on_row
     everywhere = (1 << len(generators)) - 1
     normals = [r[:-1] for r in _integer_rows(p)]
     active = set(range(p.n))
@@ -406,7 +394,7 @@ def is_simple(x: HPolytope | Analysis) -> bool:
     a = analyze(x)
     if not a.bounded:
         raise UnboundedInputError("simplicity test requires a bounded polytope")
-    return all(len(tight) == a.p.dim for _, tight in a.vertices)
+    return a.simple
 
 
 def redundant_constraints(x: HPolytope | Analysis) -> frozenset[int]:
@@ -417,9 +405,10 @@ def redundant_constraints(x: HPolytope | Analysis) -> frozenset[int]:
 def facet_adjacency_count(x: HPolytope | Analysis) -> int:
     """Number of unordered facet pairs meeting in a (d-2)-face.
 
-    Requires a bounded nonredundant input, where rows and facets are in
-    bijection: the count is the number of pairs {i, j} whose joint face
-    closes to dimension d-2. Equals f_{d-2} for simple polytopes.
+    Requires a bounded, nonredundant, full-dimensional input, where rows
+    and facets are in bijection (implicit equalities are tight on every
+    face): the count is the number of pairs {i, j} whose joint face closes
+    to dimension d-2. Equals f_{d-2} for simple polytopes.
     """
     a = analyze(x)
     if not a.bounded:
@@ -428,6 +417,10 @@ def facet_adjacency_count(x: HPolytope | Analysis) -> int:
         raise RedundantInputError(
             f"rows {sorted(a.redundant)} are redundant; adjacency counts need "
             "a nonredundant system")
+    if not a.f_vector[-1]:
+        raise InputError(
+            f"the polytope is not full-dimensional in R^{a.p.dim}; adjacency "
+            "counts need rows in bijection with facets")
     return sum(comb(tight.bit_count(), 2)
                for dim, tight, _ in a.face_bits if dim == a.p.dim - 2)
 

@@ -73,10 +73,9 @@ def indegree_hvector(x: HPolytope | Analysis, seed: int) -> HVector:
     the same for every generic objective.
     """
     a = analyze(x)
-    vertices = a.vertices
     if not a.bounded:
         raise NotSimpleError("indegree histogram requires a bounded polytope")
-    if any(len(tight) != a.p.dim for _, tight in vertices):
+    if not a.simple:
         raise NotSimpleError(
             "indegree histogram requires a simple polytope "
             "(every vertex on exactly d rows)")
@@ -116,7 +115,7 @@ def strengthened_ubt_check(x: HPolytope | Analysis) -> UbtComparison:
     pointed unbounded inputs, where face counts include unbounded faces.
     """
     a = analyze(x)
-    if any(len(tight) != a.p.dim for _, tight in a.vertices):
+    if not a.simple:
         raise NotSimpleError("the h comparison assumes a simple polytope")
     h_p = h_from_f(a.f_vector)
     h_c = h_from_f(dual_cyclic_f_vector(a.p.n, a.p.dim))

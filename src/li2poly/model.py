@@ -24,8 +24,12 @@ from .errors import HRepParseError
 
 Vec = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-_FAMILY_RE = re.compile(r"^#\s*family:\s*(\w+)\s+n=(\d+)\s+d=(\d+)\s*$")
+# ASCII digits only: int() and Fraction() also read other scripts' digits,
+# which serialize_hrep would write back as ASCII.
+_DIGITS = "[0-9]+"
+_NATURAL_RE = re.compile(f"^{_DIGITS}$")
+_RATIONAL_RE = re.compile(f"^-?{_DIGITS}(?:/{_DIGITS})?$")
+_FAMILY_RE = re.compile(rf"^#\s*family:\s*(\w+)\s+n=({_DIGITS})\s+d=({_DIGITS})\s*$")
 
 FAMILY_NAMES = ("pstar", "dualcyclic", "prism3", "polygon")
 
@@ -140,7 +144,7 @@ def parse_hrep(text: str | bytes) -> HPolytope:
     if not data_lines:
         raise HRepParseError("missing 'n d' header line")
     header_line, header = data_lines[0]
-    if len(header) != 2 or not all(t.isdigit() for t in header):
+    if len(header) != 2 or not all(_NATURAL_RE.match(t) for t in header):
         raise HRepParseError("header must be two positive integers 'n d'", header_line)
     n, d = int(header[0]), int(header[1])
     if n < 0 or d <= 0:

@@ -2,10 +2,11 @@
 
 These are the straightforward forms that faces.enumerate_vertices and
 faces.face_lattice replaced, kept as they were apart from names, docstrings
-and the split of the lattice into its faces and their Face records. The
-kernel tests each (+, -) ray pair against every other ray's zero set,
-which costs O(R) per pair. The lattice closes the faces, then takes their
-dimensions, then their tight sets, in three passes of n ANDs per face.
+and the numbering of the lattice's faces, which is the analysis's: bit k
+is generator k. The kernel tests each (+, -) ray pair against every other
+ray's zero set, which costs O(R) per pair. The lattice closes the faces,
+then takes their dimensions, then their tight sets, in three passes of n
+ANDs per face.
 """
 
 from __future__ import annotations
@@ -13,23 +14,16 @@ from __future__ import annotations
 from math import gcd
 
 from li2poly.errors import InfeasibleError, NonPointedError
-from li2poly.faces import Face, _integer_rows
+from li2poly.faces import _integer_rows
 from li2poly.model import HPolytope
 
 
-def _members(bits: int) -> frozenset[int]:
-    out = []
-    while bits:
-        out.append((bits & -bits).bit_length() - 1)
-        bits &= bits - 1
-    return frozenset(out)
-
-
-def _incidence(n: int, row_sets) -> list[int]:
+def _incidence(n: int, zero_sets) -> list[int]:
     on_row = [0] * n
-    for k, rows in enumerate(row_sets):
-        for i in rows:
-            on_row[i] |= 1 << k
+    for k, zeros in enumerate(zero_sets):
+        for i in range(n):
+            if zeros >> i & 1:
+                on_row[i] |= 1 << k
     return on_row
 
 
@@ -96,10 +90,8 @@ def reference_vertices(p: HPolytope):
 def reference_faces(a) -> dict[int, tuple[int, list[int]]]:
     """Each face's generator bitset, with its dim and tight rows, by
     closure, then dimensions, then tight sets."""
-    vertices = a.vertices
-    on_row = _incidence(a.p.n, [tight for _, tight in vertices]
-                        + [_members(z) for g, z in a.generators if not g[-1]])
-    on_vertex = (1 << len(vertices)) - 1
+    on_row = _incidence(a.p.n, [z for _, z in a.generators])
+    on_vertex = sum(1 << k for k, (g, _) in enumerate(a.generators) if g[-1])
     everything = (1 << len(a.generators)) - 1
     found, stack = {everything}, [everything]
     while stack:
@@ -117,12 +109,3 @@ def reference_faces(a) -> dict[int, tuple[int, list[int]]]:
                              default=-1)
     return {face: (fdim, [i for i, bits in enumerate(on_row) if bits & face == face])
             for face, fdim in dims.items()}
-
-
-def reference_lattice(a) -> list[Face]:
-    """The faces of Analysis.lattice."""
-    lattice = []
-    for face, (fdim, tight) in reference_faces(a).items():
-        vertex_ids = None if face >> len(a.vertices) else _members(face)
-        lattice.append(Face(frozenset(tight), fdim, vertex_ids))
-    return sorted(lattice, key=lambda f: (f.dim, sorted(f.tight_set)))

@@ -118,9 +118,10 @@ def faces_bounded(p: HPolytope, dims: dict[frozenset[int], int]
 
 
 def lp_face_lattice(p: HPolytope
-                    ) -> list[tuple[frozenset[int], int, frozenset[int] | None]]:
-    """(tight_set, dim, vertex_ids) of every nonempty face, sorted like
-    faces.face_lattice, with each candidate closed through a witness."""
+                    ) -> list[tuple[frozenset[int], int, frozenset[Vec] | None]]:
+    """(tight_set, dim, vertex points) of every nonempty face, sorted by
+    (dim, tight_set), with each candidate closed through a witness. An
+    unbounded face has None for its vertex points."""
     d = p.dim
     vertices = scan_vertices(p)
     candidates = {frozenset(sub) for _, tight in vertices
@@ -134,7 +135,7 @@ def lp_face_lattice(p: HPolytope
         if closed not in dims:
             dims[closed] = d - rank([p.constraints[i].coeffs for i in sorted(closed)])
     bounded = faces_bounded(p, dims)
-    lattice = [(closed, dim, frozenset(v for v, (_, vt) in enumerate(vertices)
-                                       if closed <= vt) if bounded[closed] else None)
+    lattice = [(closed, dim, frozenset(x for x, vt in vertices if closed <= vt)
+                if bounded[closed] else None)
                for closed, dim in dims.items()]
     return sorted(lattice, key=lambda f: (f[1], sorted(f[0])))

@@ -61,6 +61,41 @@ def test_commands_build_each_result_once_and_run_no_program(monkeypatch, capsys,
     assert not any(name in sys.modules for name in LP_MODULES)
 
 
+def _count_vertex_builds(monkeypatch) -> list:
+    """Make Analysis.vertices uncached and record each build."""
+    builds = []
+    build = faces.Analysis.vertices.func
+    monkeypatch.setattr(faces.Analysis, "vertices",
+                        property(lambda a: builds.append(a) or build(a)))
+    return builds
+
+
+@pytest.mark.parametrize("argv, vertex_builds", [
+    (["fvector", "--method", "enumerate", "--no-timing", "--in"], 0),
+    (["verify", "pstar", "--n", "13", "--d", "7", "--json", "--no-timing"], 0),
+    (["hvector", "--seed", "0", "--no-timing", "--in"], 1),
+], ids=["fvector_pstar_8_4", "verify_pstar_13_7", "hvector_pstar_8_4"])
+def test_only_the_edge_graph_builds_fraction_vertices(monkeypatch, capsys, tmp_path,
+                                                      argv, vertex_builds):
+    # Lattice, simplicity and the h transform read the generators' bitsets.
+    if argv[-1] == "--in":
+        argv = argv + [_write(tmp_path, constructors.pstar(8, 4))]
+    builds = _count_vertex_builds(monkeypatch)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(builds) == vertex_builds
+
+
+def test_lattice_and_redundancy_scan_share_one_transpose(monkeypatch):
+    # profile's redundancy scan reads the lattice's on_row, not its own copy.
+    analysis = faces.Analysis(constructors.dual_cyclic(8, 4))
+    analysis.generators  # the kernel transposes its intermediate zero sets
+    counts = _count_calls(monkeypatch, (faces._transpose,))
+    analysis.face_bits
+    assert faces.redundant_constraints(analysis) == frozenset()
+    assert counts == {"li2poly.faces._transpose": 1}
+
+
 def test_facet_adjacency_runs_no_program(monkeypatch):
     counts = _count_calls(monkeypatch, WORKERS + (faces.redundant_rows,))
     assert faces.facet_adjacency_count(constructors.convex_polygon(5)) == 5

@@ -10,6 +10,7 @@ from li2poly.cli import run
 from li2poly.errors import InputError
 from li2poly.model import parse_hrep
 from lp_geometry import redundant_constraints as lp_redundant_constraints
+from test_model import NON_ASCII_DIGITS
 
 
 def run_json(capsys, argv):
@@ -119,6 +120,17 @@ def test_fvector_zero_denominator_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 2: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize("name", NON_ASCII_DIGITS)
+def test_fvector_non_ascii_digits_exit_3(tmp_path, capsys, name):
+    text, line, message = NON_ASCII_DIGITS[name]
+    path = tmp_path / "digits.hrep"
+    path.write_text(text, encoding="utf-8")
+    assert run(["fvector", "--in", str(path), "--method", "enumerate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: {message}\n"
 
 
 def test_hvector_repeat_agrees(tmp_path, capsys):

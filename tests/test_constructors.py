@@ -25,7 +25,7 @@ def test_polygon_each_edge_tight_on_two_vertices():
     p = constructors.convex_polygon(4)
     vertices = faces.Analysis(p).vertices
     for i in range(p.n):
-        assert sum(1 for _, tight in vertices if i in tight) == 2
+        assert sum(1 for _, tight in vertices if tight >> i & 1) == 2
     for m in range(3, 61):
         points = constructors.polygon_vertices(m)
         for c in constructors.convex_polygon(m).constraints:
@@ -110,7 +110,7 @@ def test_pstar_vertices_take_consecutive_pairs_per_polygon():
     p = constructors.pstar(n, d)
     combos = set()
     for _, tight in faces.Analysis(p).vertices:
-        labels = sorted(p.constraints[i].label for i in tight)
+        labels = sorted(c.label for i, c in enumerate(p.constraints) if tight >> i & 1)
         per_pair = []
         for i in range(half):
             edges = sorted(int(l.split("e")[1]) for l in labels
@@ -168,7 +168,7 @@ def test_constructors_full_dimensional():
     for p in (constructors.pstar(8, 4), constructors.pstar(9, 5),
               constructors.dual_cyclic(7, 3), constructors.prism3(6),
               constructors.convex_polygon(6)):
-        assert faces.Analysis(p).lattice[-1].dim == p.dim
+        assert max(faces.Analysis(p).face_bits)[0] == p.dim
 
 
 def test_from_family_round_trip():
@@ -197,6 +197,6 @@ def test_odd_pstar_every_row_supports_a_facet():
     # Nonredundancy for the unbounded odd case (the LP-based scan requires
     # boundedness): every row must appear alone as a facet tight set.
     p = constructors.pstar(7, 3)
-    facet_rows = {min(f.tight_set) for f in faces.Analysis(p).lattice
-                  if f.dim == p.dim - 1 and len(f.tight_set) == 1}
+    facet_rows = {tight.bit_length() - 1 for dim, tight, _ in faces.Analysis(p).face_bits
+                  if dim == p.dim - 1 and tight.bit_count() == 1}
     assert facet_rows == set(range(p.n))

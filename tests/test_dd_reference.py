@@ -1,13 +1,12 @@
 """Differential tests: the transposed kernel and the one-pass lattice against
 the pairwise scan and the three-pass lattice they replaced.
 
-dd_reference keeps the replaced forms. Generators, Face records and the
-errors raised must be identical on the acceptance instances, on random
-two-variable systems, and on the inputs that reach the kernel's edge
-cases: a row that cuts no line while lines are left, so that two rays
-sharing no seen row are joined. On seeded row permutations of instances
-too large for the subset scan, the generators and the lattice's
-(dim, tight rows, generators) bitsets must be identical.
+dd_reference keeps the replaced forms. Generators, the errors raised and
+the lattice's (dim, tight rows, generators) bitsets must be identical on
+the acceptance instances, on random two-variable systems, on the inputs
+that reach the kernel's edge cases (a row that cuts no line while lines
+are left, so that two rays sharing no seen row are joined) and on seeded
+row permutations of instances too large for the subset scan.
 """
 
 import random
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given
 
 from conftest import RANDOM, cached_instance, permuted, two_variable_systems
-from dd_reference import reference_faces, reference_lattice, reference_vertices
+from dd_reference import reference_faces, reference_vertices
 from li2poly import faces
 from li2poly.errors import LI2PolyError, NonPointedError
 from li2poly.model import parse_hrep
@@ -30,16 +29,9 @@ def _outcome(build, p):
         return ("error", type(exc), str(exc))
 
 
-def _check(p):
-    assert _outcome(faces.enumerate_vertices, p) == _outcome(reference_vertices, p)
-    a = faces.Analysis(p, max_work=10 ** 9)
-    assert a.lattice == reference_lattice(a)
-
-
 def _check_bits(p):
-    """_check without building Face records on either side."""
     a = faces.Analysis(p, max_work=10 ** 9)
-    assert a.generators == reference_vertices(p)
+    assert _outcome(lambda _: a.generators, p) == _outcome(reference_vertices, p)
     assert sorted(a.face_bits) == sorted(
         (dim, sum(1 << i for i in tight), face)
         for face, (dim, tight) in reference_faces(a).items())
@@ -47,7 +39,7 @@ def _check_bits(p):
 
 @pytest.mark.parametrize("name", INSTANCES)
 def test_matches_reference_on_acceptance_instances(name):
-    _check(INSTANCES[name]())
+    _check_bits(INSTANCES[name]())
 
 
 @pytest.mark.parametrize("family, n, d", [
@@ -63,13 +55,13 @@ def test_matches_reference_on_permuted_large_instances(family, n, d):
 @RANDOM
 @given(two_variable_systems())
 def test_matches_reference_on_random_systems(p):
-    _check(p)
+    _check_bits(p)
 
 
 @RANDOM
 @given(two_variable_systems(equalities=2))
 def test_matches_reference_on_lower_dimensional_systems(p):
-    _check(p)
+    _check_bits(p)
 
 
 @RANDOM
@@ -101,5 +93,5 @@ def test_join_with_lines_left(name):
         assert outcome[:2] == ("error", NonPointedError)
     else:
         assert len(outcome[1]) == expected
-        _check(p)
+        _check_bits(p)
     assert outcome == _outcome(reference_vertices, p)

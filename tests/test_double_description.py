@@ -45,16 +45,17 @@ INSTANCES = {
 
 
 def _kernel(p: HPolytope):
-    """(vertices, rays) from the kernel: vertices with tight sets as the scan
-    gives them, rays scaled like recession_ray_candidates with zero sets."""
+    """(vertices, rays) from the kernel: vertices with tight sets, sorted by
+    coordinates as the scan gives them, rays scaled like
+    recession_ray_candidates with zero sets."""
     a = faces.Analysis(p, max_work=10 ** 9)
+    rows = lambda zeros: frozenset(i for i in range(p.n) if zeros >> i & 1)
     rays = []
     for g, zeros in a.generators:
         if not g[-1]:
             lead = abs(next(x for x in g if x))
-            rays.append((tuple(Fraction(x, lead) for x in g[:-1]),
-                         frozenset(i for i in range(p.n) if zeros >> i & 1)))
-    return a.vertices, sorted(rays)
+            rays.append((tuple(Fraction(x, lead) for x in g[:-1]), rows(zeros)))
+    return sorted((x, rows(tight)) for x, tight in a.vertices), sorted(rays)
 
 
 def _scan(p: HPolytope):

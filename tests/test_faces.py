@@ -9,7 +9,7 @@ import fraction_linalg
 from conftest import (RANDOM, cached_f_vector, permuted, square_pyramid,
                       two_variable_systems, unit_square)
 from li2poly import constructors, faces, formulas
-from li2poly.errors import (CapExceededError, NonPointedError,
+from li2poly.errors import (CapExceededError, InputError, NonPointedError,
                             RedundantInputError, UnboundedInputError)
 from li2poly.model import HPolytope, parse_hrep
 from test_double_description import REDUNDANCY
@@ -39,9 +39,9 @@ DIM_CASES = {"square": unit_square,
 def _check_face_dims(p):
     # The lattice reads each dimension from its order; a face's dimension
     # is also d minus the rank of the rows tight on it.
-    for face in faces.Analysis(p).lattice:
-        rows = [p.constraints[i].coeffs for i in sorted(face.tight_set)]
-        assert face.dim == p.dim - fraction_linalg.rank(fraction_linalg.mat(rows))
+    for dim, tight, _ in faces.Analysis(p).face_bits:
+        rows = [c.coeffs for i, c in enumerate(p.constraints) if tight >> i & 1]
+        assert dim == p.dim - fraction_linalg.rank(fraction_linalg.mat(rows))
 
 
 @pytest.mark.parametrize("name", DIM_CASES)
@@ -59,7 +59,7 @@ def test_pyramid_apex_tight_on_four():
     pyramid = square_pyramid()
     vertices = faces.Analysis(pyramid).vertices
     assert len(vertices) == 5
-    sizes = sorted(len(t) for _, t in vertices)
+    sizes = sorted(t.bit_count() for _, t in vertices)
     assert sizes == [3, 3, 3, 3, 4]
     assert not faces.is_simple(pyramid)
     assert faces.f_vector(pyramid) == (5, 8, 5, 1)
@@ -80,14 +80,15 @@ def test_pstar_13_7_includes_unbounded_faces():
 
 def test_unbounded_faces_have_no_vertex_ids():
     p = constructors.pstar(7, 3)
-    lattice = faces.Analysis(p).lattice
+    analysis = faces.Analysis(p)
+    rays = sum(1 << k for k, (g, _) in enumerate(analysis.generators) if not g[-1])
     xlast_row = next(i for i, c in enumerate(p.constraints)
                      if c.label == "xlast_lo")
-    for face in lattice:
-        if xlast_row in face.tight_set:
-            assert face.vertex_ids is not None
+    for _, tight, face in analysis.face_bits:
+        if tight >> xlast_row & 1:
+            assert not face & rays
         else:
-            assert face.vertex_ids is None
+            assert face & rays
 
 
 def test_reduced_euler_on_bounded_instances():
@@ -139,6 +140,17 @@ def test_facet_adjacency_pstar_12_6():
 
 def test_facet_adjacency_dual_cyclic_8_4_complete():
     assert faces.facet_adjacency_count(constructors.dual_cyclic(8, 4)) == 28
+
+
+def test_facet_adjacency_rejects_lower_dimensional():
+    # The unit square at z = 0 in R^3. No row is redundant, but z <= 0 and
+    # -z <= 0 are tight on every face, so each of the 4 edges lies on 3 rows
+    # and rows are not facets.
+    flat = parse_hrep("6 3\n1 0 0 1\n-1 0 0 0\n0 1 0 1\n0 -1 0 0\n"
+                      "0 0 1 0\n0 0 -1 0")
+    assert faces.redundant_constraints(flat) == frozenset()
+    with pytest.raises(InputError, match="not full-dimensional"):
+        faces.facet_adjacency_count(flat)
 
 
 def test_facet_adjacency_rejects_redundant(square):
@@ -229,17 +241,17 @@ def test_face_counts_within_upper_bound_on_unbounded_inputs(make):
 def test_duplicate_rows_do_not_change_face_counts(square):
     dup = HPolytope(2, square.constraints + (square.constraints[0],))
     assert faces.f_vector(dup) == (4, 4, 1)
-    lattice = faces.Analysis(dup).lattice
-    right_edge = next(f for f in lattice if f.dim == 1 and 0 in f.tight_set)
-    assert right_edge.tight_set == frozenset({0, 4})  # both copies tight
+    right_edge = next(tight for dim, tight, _ in faces.Analysis(dup).face_bits
+                      if dim == 1 and tight & 1)
+    assert right_edge == 1 << 0 | 1 << 4  # both copies tight
 
 
 def test_lower_dimensional_polytope():
     # The segment x = 1, 0 <= y <= 1 in the plane: implicit equality rows.
     p = parse_hrep("4 2\n1 0 1\n-1 0 -1\n0 1 1\n0 -1 0")
     assert faces.f_vector(p) == (2, 1, 0)
-    top = faces.Analysis(p).lattice[-1]
-    assert top.dim == 1 and top.tight_set == frozenset({0, 1})
+    dim, tight, _ = max(faces.Analysis(p).face_bits)
+    assert dim == 1 and tight == 1 << 0 | 1 << 1
 
 
 def test_product_structure_total_face_count():
@@ -247,7 +259,7 @@ def test_product_structure_total_face_count():
     # factors' lattices minus the doubled top, so the total face count is
     # the square of the polygon's (13 for a hexagon: 6 + 6 + 1).
     analysis = faces.Analysis(constructors.pstar(12, 4))
-    assert len(analysis.lattice) == 13 * 13
+    assert len(analysis.face_bits) == 13 * 13
     assert faces.f_vector(analysis) == (36, 72, 48, 12, 1)
 
 

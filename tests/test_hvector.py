@@ -84,19 +84,19 @@ def test_unique_source_and_sink_per_face():
     for p in (unit_square(), constructors.convex_polygon(6),
               constructors.dual_cyclic(6, 3)):
         analysis = faces.Analysis(p)
-        lattice = analysis.lattice
         points, edges = faces.edge_graph(analysis)
         c, directed = hvector.orient_edges(points, edges, seed=11)
-        for face in lattice:
-            if face.dim < 1:
+        for dim, tight, face in analysis.face_bits:
+            if dim < 1:
                 continue
-            members = face.vertex_ids
+            # Bounded, so face bit k is point k of the edge graph.
+            members = {k for k in range(len(points)) if face >> k & 1}
             inside = [(u, v) for u, v in directed if u in members and v in members]
             outs = {u for u, _ in inside}
             ins = {v for _, v in inside}
             sinks = [v for v in members if v not in outs]
             sources = [v for v in members if v not in ins]
-            assert len(sinks) == 1, f"face {face.tight_set} has sinks {sinks}"
+            assert len(sinks) == 1, f"face {bin(tight)} has sinks {sinks}"
             assert len(sources) == 1
 
 

@@ -3,14 +3,15 @@
 faces.face_lattice closes the lattice under AND of per-row bitsets of
 vertex and ray incidences. lp_oracle closes candidate tight sets through
 relative-interior witnesses and decides boundedness face by face with
-exact programs. Both
-must give the same (tight_set, dim, vertex_ids) on the acceptance
-instances, on the paper's larger instances and on random two-variable
-systems. Analysis.bounded, read off the vertex tight sets, must agree with
-the programs of lp_geometry.is_bounded, and every lattice must satisfy the
-Euler relation for that boundedness. Separately, a face has no vertex_ids
-exactly when lp_geometry.is_bounded fails on it; every face of a bounded
-polyhedron is bounded, so that check runs on unbounded instances only.
+exact programs. Both must give the same (tight set, dim, vertex points)
+on the acceptance instances, on the paper's larger instances and on
+random two-variable systems, with vertices compared by coordinates and
+None for an unbounded face. Analysis.bounded, read off the generators,
+must agree with the programs of lp_geometry.is_bounded, and every lattice
+must satisfy the Euler relation for that boundedness. Separately, a face
+holds an extreme ray exactly when lp_geometry.is_bounded fails on it;
+every face of a bounded polyhedron is bounded, so that check runs on
+unbounded instances only.
 """
 
 import pytest
@@ -36,7 +37,21 @@ INSTANCES = {
 }
 
 def _lattice(p: HPolytope):
-    return [(f.tight_set, f.dim, f.vertex_ids) for f in faces.Analysis(p).lattice]
+    """The bit triples as (tight rows, dim, vertex points or None), sorted
+    like lp_face_lattice."""
+    a = faces.Analysis(p)
+    vertices = iter(a.vertices)
+    point = [next(vertices)[0] if g[-1] else None for g, _ in a.generators]
+
+    def members(bits, count):
+        return frozenset(k for k in range(count) if bits >> k & 1)
+
+    lattice = []
+    for dim, tight, face in a.face_bits:
+        points = [point[k] for k in members(face, len(point))]
+        lattice.append((members(tight, p.n), dim,
+                        None if None in points else frozenset(points)))
+    return sorted(lattice, key=lambda f: (f[1], sorted(f[0])))
 
 
 def _check_against_oracle(p: HPolytope) -> None:

@@ -145,3 +145,24 @@ def test_serialize_after_parse_reproduces_canonical_text():
 def test_unrecognized_family_comment_is_ignored():
     p = parse_hrep("# family: mysteryshape n=3 d=2\n1 2\n1 0 1\n")
     assert p.family is None
+    # Non-ASCII digits leave the tag a plain comment, as in the rows below.
+    p = parse_hrep("# family: pstar n=٣ d=2\n1 2\n1 0 1\n")
+    assert p.family is None
+
+
+# '²' passes str.isdigit, but int() rejects it; '٣' is a decimal digit that
+# int() and Fraction() read as 3, which serialize_hrep would write as '3'.
+NON_ASCII_DIGITS = {
+    "superscript_header": ("1 ²\n1 1\n", 1,
+                           "header must be two positive integers 'n d'"),
+    "arabic_indic_entry": ("1 1\n٣ 1\n", 2, "malformed rational '٣'"),
+}
+
+
+@pytest.mark.parametrize("name", NON_ASCII_DIGITS)
+def test_parse_rejects_non_ascii_digits(name):
+    text, line, message = NON_ASCII_DIGITS[name]
+    with pytest.raises(HRepParseError) as err:
+        parse_hrep(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
