@@ -7,12 +7,12 @@
 All three must agree exactly; any mismatch would expose a bug.
 """
 
-from li2poly import dual_cyclic, f_vector, gale_evenness_facet_count
+from li2poly import Analysis, dual_cyclic, gale_evenness_facet_count
 from li2poly.formulas import dual_cyclic_f_vector, fk_dual_cyclic
 
 n, d = 8, 4
 print(f"dual cyclic polytope at n={n}, d={d}")
-print(f"  enumerated f-vector: {f_vector(dual_cyclic(n, d))}")
+print(f"  enumerated f-vector: {Analysis(dual_cyclic(n, d)).f_vector}")
 print(f"  closed-form f-vector: {dual_cyclic_f_vector(n, d)}")
 print(f"  evenness-condition facet subsets: {gale_evenness_facet_count(n, d)}"
       f" (= f_0)")

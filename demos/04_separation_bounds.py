@@ -8,8 +8,7 @@ two-variable family once n is large; at the smallest parameters, where
 every polygon factor is a triangle, the counts coincide exactly.
 """
 
-from li2poly import (dual_cyclic, f_vector, facet_adjacency_count,
-                     lemma41_bound, pstar, ratio_report)
+from li2poly import Analysis, dual_cyclic, lemma41_bound, pstar, ratio_report
 from li2poly.formulas import (fk_dual_cyclic, fk_pstar,
                               separation_bound_reports, two_variable_deficit)
 
@@ -20,7 +19,7 @@ for row in ratio_report(4, range(8, 41, 4), 0):
 print()
 
 print("adjacent facet pairs of pstar(12, 6):")
-count = facet_adjacency_count(pstar(12, 6))
+count = Analysis(pstar(12, 6)).facet_adjacency_count
 bound = lemma41_bound(12, 12, 6)
 print(f"  counted: {count} of C(12,2) = 66 pairs; ridge bound: {bound}")
 print(f"  the dual cyclic polytope needs all 66, so it cannot be realized")
@@ -36,8 +35,8 @@ print()
 print("the smallest instances are the exception: triangle factors give")
 print("equality with the dual cyclic counts rather than strict separation:")
 for n, d in ((6, 4), (9, 6)):
-    fp = f_vector(pstar(n, d))
-    fc = f_vector(dual_cyclic(n, d))
+    fp = Analysis(pstar(n, d)).f_vector
+    fc = Analysis(dual_cyclic(n, d)).f_vector
     print(f"  (n={n}, d={d})  P*: {fp}")
     print(f"            c*: {fc}")
     ties = [k for k in range(d - 1) if fp[k] == fc[k]]

@@ -8,9 +8,7 @@ that oracle.
 """
 
 from .constructors import convex_polygon, dual_cyclic, prism3, pstar
-from .faces import (Analysis, analyze, edge_graph, enumerate_vertices, f_vector,
-                    face_lattice, facet_adjacency_count, is_simple,
-                    redundant_constraints)
+from .faces import Analysis, edge_graph, enumerate_vertices, face_lattice
 from .formulas import (fk_dual_cyclic, fk_pstar, gale_evenness_facet_count,
                        leading_terms, lemma41_bound, ratio_report,
                        thm42_bound, thm42_bound_literal)
@@ -20,12 +18,10 @@ from .model import (Constraint, HPolytope, LI2Profile, li2_profile,
                     parse_hrep, serialize_hrep)
 
 __all__ = [
-    "Constraint", "HPolytope", "LI2Profile", "Analysis", "analyze",
+    "Constraint", "HPolytope", "LI2Profile", "Analysis",
     "parse_hrep", "serialize_hrep", "li2_profile",
     "convex_polygon", "pstar", "dual_cyclic", "prism3",
-    "enumerate_vertices", "face_lattice", "f_vector",
-    "facet_adjacency_count", "edge_graph", "is_simple",
-    "redundant_constraints",
+    "enumerate_vertices", "face_lattice", "edge_graph",
     "h_from_f", "f_from_h", "indegree_hvector", "strengthened_ubt_check",
     "fk_dual_cyclic", "fk_pstar", "leading_terms", "lemma41_bound",
     "thm42_bound", "thm42_bound_literal", "ratio_report",

@@ -25,8 +25,8 @@ work is combinatorial: facets are the maximal proper faces among the
 rows' bitsets, and the only other arithmetic is the cone-membership test
 for implicit equalities, one more run of the kernel (see redundant_rows).
 
-The query functions below and in hvector take an HPolytope or an Analysis,
-which carries the work budget; sharing one enumerates the polytope once.
+Analysis, which carries the work budget, is the one query handle: its
+cached properties and the builders here and in hvector enumerate once.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from math import comb, gcd, lcm
 from .errors import (CapExceededError, InfeasibleError, InputError,
                      NonPointedError, RedundantInputError, UnboundedInputError)
 from .formulas import dual_cyclic_f_vector
-from .model import Constraint, HPolytope, Vec
+from .model import Constraint, HPolytope
 
 DEFAULT_MAX_WORK = 5_000_000
 
@@ -205,9 +205,9 @@ class Analysis:
     integer generators of enumerate_vertices and their row bitsets are
     the source of everything else, under one numbering: bit k of a face is
     generators[k], and on_row, their transpose, is built once for the
-    lattice and the redundancy scan. Boundedness, simplicity, the lattice
-    (face_bits) and redundancy are read from these bitsets; `Fraction`
-    points are built only for the edge graph. check_caps runs here first.
+    lattice and the redundancy scan. Every query is read from these
+    bitsets; a vertex stays the integer generator (g, t), the point g/t,
+    and no point is built. check_caps runs here first.
     """
     p: HPolytope
     max_work: int = DEFAULT_MAX_WORK
@@ -230,15 +230,10 @@ class Analysis:
 
     @cached_property
     def simple(self) -> bool:
-        """True iff every vertex is tight on exactly d rows."""
+        """True iff every vertex is tight on exactly d rows; in this vertex
+        sense a pointed unbounded input's extreme rays do not count."""
         return all(zeros.bit_count() == self.p.dim
                    for g, zeros in self.generators if g[-1])
-
-    @cached_property
-    def vertices(self) -> list[tuple[Vec, int]]:
-        """Each vertex's point and tight-row bitset, in generator order."""
-        return [(tuple(Fraction(x, g[-1]) for x in g[:-1]), zeros)
-                for g, zeros in self.generators if g[-1]]
 
     @cached_property
     def face_bits(self) -> list[BitFace]:
@@ -259,21 +254,30 @@ class Analysis:
         return f
 
     @cached_property
-    def edge_graph(self) -> tuple[list[Vec], list[tuple[int, int]]]:
+    def edge_graph(self) -> list[tuple[int, int]]:
+        return edge_graph(self)
+
+    @cached_property
+    def facet_adjacency_count(self) -> int:
+        """Number of unordered facet pairs meeting in a (d-2)-face.
+
+        Requires a bounded, nonredundant, full-dimensional input, where rows
+        and facets are in bijection (implicit equalities are tight on every
+        face): the count is the number of pairs {i, j} whose joint face
+        closes to dimension d-2. Equals f_{d-2} for simple polytopes.
+        """
         if not self.bounded:
-            raise UnboundedInputError("edge graph requires a bounded polytope")
-        edges = []  # every generator is a vertex, so bit k is point k
-        for dim, _, face in self.face_bits:
-            if dim == 1:
-                if face.bit_count() != 2:
-                    raise AssertionError("bounded 1-face without exactly two vertices")
-                edges.append(tuple(_bits(face)))
-        return [x for x, _ in self.vertices], sorted(edges)
-
-
-def analyze(x: HPolytope | Analysis) -> Analysis:
-    """x itself when it is an Analysis, else a new Analysis of x."""
-    return x if isinstance(x, Analysis) else Analysis(x)
+            raise UnboundedInputError("facet adjacency requires a bounded polytope")
+        if self.redundant:
+            raise RedundantInputError(
+                f"rows {sorted(self.redundant)} are redundant; adjacency counts "
+                "need a nonredundant system")
+        if not self.f_vector[-1]:
+            raise InputError(
+                f"the polytope is not full-dimensional in R^{self.p.dim}; "
+                "adjacency counts need rows in bijection with facets")
+        return sum(comb(tight.bit_count(), 2)
+                   for dim, tight, _ in self.face_bits if dim == self.p.dim - 2)
 
 
 def face_lattice(a: Analysis) -> list[BitFace]:
@@ -296,7 +300,7 @@ def face_lattice(a: Analysis) -> list[BitFace]:
     (dim, tight rows, generators) triples of bitsets, in visiting order.
     The analysis supplies the generators and their transpose and applies
     the cap. This is the function behind Analysis.face_bits: each call
-    builds a new lattice, so read analyze(p).face_bits.
+    builds a new lattice, so read Analysis(p).face_bits.
     """
     on_row = a.on_row
     on_vertex = sum(1 << k for k, (g, _) in enumerate(a.generators) if g[-1])
@@ -384,47 +388,15 @@ def redundant_rows(a: Analysis) -> frozenset[int]:
     return frozenset(set(range(p.n)) - active)
 
 
-def f_vector(x: HPolytope | Analysis) -> FVector:
-    """Counts (f_0, ..., f_d) of k-dimensional faces."""
-    return analyze(x).f_vector
-
-
-def is_simple(x: HPolytope | Analysis) -> bool:
-    """True iff every vertex lies on exactly d constraints; bounded input."""
-    a = analyze(x)
+def edge_graph(a: Analysis) -> list[tuple[int, int]]:
+    """The edges of a bounded polytope, as sorted generator-index pairs:
+    every generator is a vertex. The builder behind Analysis.edge_graph."""
     if not a.bounded:
-        raise UnboundedInputError("simplicity test requires a bounded polytope")
-    return a.simple
-
-
-def redundant_constraints(x: HPolytope | Analysis) -> frozenset[int]:
-    """Indices whose removal leaves the polytope unchanged (see redundant_rows)."""
-    return analyze(x).redundant
-
-
-def facet_adjacency_count(x: HPolytope | Analysis) -> int:
-    """Number of unordered facet pairs meeting in a (d-2)-face.
-
-    Requires a bounded, nonredundant, full-dimensional input, where rows
-    and facets are in bijection (implicit equalities are tight on every
-    face): the count is the number of pairs {i, j} whose joint face closes
-    to dimension d-2. Equals f_{d-2} for simple polytopes.
-    """
-    a = analyze(x)
-    if not a.bounded:
-        raise UnboundedInputError("facet adjacency requires a bounded polytope")
-    if a.redundant:
-        raise RedundantInputError(
-            f"rows {sorted(a.redundant)} are redundant; adjacency counts need "
-            "a nonredundant system")
-    if not a.f_vector[-1]:
-        raise InputError(
-            f"the polytope is not full-dimensional in R^{a.p.dim}; adjacency "
-            "counts need rows in bijection with facets")
-    return sum(comb(tight.bit_count(), 2)
-               for dim, tight, _ in a.face_bits if dim == a.p.dim - 2)
-
-
-def edge_graph(x: HPolytope | Analysis) -> tuple[list[Vec], list[tuple[int, int]]]:
-    """Vertices and undirected edges (as index pairs) of a bounded polytope."""
-    return analyze(x).edge_graph
+        raise UnboundedInputError("edge graph requires a bounded polytope")
+    edges = []
+    for dim, _, face in a.face_bits:
+        if dim == 1:
+            if face.bit_count() != 2:
+                raise AssertionError("bounded 1-face without exactly two vertices")
+            edges.append(tuple(_bits(face)))
+    return sorted(edges)

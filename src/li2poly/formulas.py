@@ -132,8 +132,8 @@ def leading_terms(n: int, d: int, k: int) -> tuple[Fraction, Fraction]:
     formulas are table lookups, exact at the given n, meaningful as leading
     terms when d is small against n.
     """
-    if not (0 <= k <= d):
-        raise ValueError(f"need 0 <= k <= d, got d={d} k={k}")
+    if not (2 <= d and 0 <= k <= d):
+        raise ValueError(f"need d >= 2 and 0 <= k <= d, got d={d} k={k}")
     if d % 2 == 0:
         half = d // 2
         g = Fraction(n, half)
@@ -171,6 +171,16 @@ def two_variable_deficit(n_prime: int, d: int) -> Fraction:
     return Fraction(binom(n_prime, 2), binom(d, 2)) - n_prime
 
 
+def _check_thm42_args(n: int, n_prime: int, d: int, k: int) -> None:
+    """The range both readings of Theorem 4.2 assume."""
+    if d < 4:
+        raise ValueError("the separation bound assumes d >= 4")
+    if k > d - 2:
+        raise ValueError("the separation bound applies for k <= d-2")
+    if not (0 <= n_prime <= n):
+        raise ValueError("need 0 <= n_prime <= n")
+
+
 def thm42_bound(n: int, n_prime: int, d: int, k: int) -> Fraction:
     """f_k(c*(n,d)) - C(d-2,k) * D with the deficit D of two_variable_deficit.
 
@@ -180,12 +190,7 @@ def thm42_bound(n: int, n_prime: int, d: int, k: int) -> Fraction:
     thm42_bound_literal for the displayed variant with the opposite sign
     on n'.
     """
-    if d < 4:
-        raise ValueError("the separation bound assumes d >= 4")
-    if k > d - 2:
-        raise ValueError("the separation bound applies for k <= d-2")
-    if not (0 <= n_prime <= n):
-        raise ValueError("need 0 <= n_prime <= n")
+    _check_thm42_args(n, n_prime, d, k)
     return fk_dual_cyclic(n, d, k) - binom(d - 2, k) * two_variable_deficit(n_prime, d)
 
 
@@ -195,10 +200,7 @@ def thm42_bound_literal(n: int, n_prime: int, d: int, k: int) -> Fraction:
     Kept for reporting: its inner sign disagrees with the ridge bound and
     with the chain of inequalities that certifies thm42_bound.
     """
-    if d < 4:
-        raise ValueError("the separation bound assumes d >= 4")
-    if k > d - 2:
-        raise ValueError("the separation bound applies for k <= d-2")
+    _check_thm42_args(n, n_prime, d, k)
     inner = Fraction(binom(n_prime, 2), binom(d, 2)) + n_prime
     return fk_dual_cyclic(n, d, k) - binom(d - 2, k) * inner
 

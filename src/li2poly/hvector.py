@@ -3,24 +3,23 @@
 Orient every edge of a simple bounded polytope toward the endpoint with
 the larger value of a generic linear objective; h_i counts vertices of
 indegree i. Genericity is obtained by rejection sampling from a seeded
-integer generator, and ties are detected exactly, so a redraw is the only
-possible reaction to a degenerate draw. The alternating-sum transform
-recovers the same histogram from the f-vector alone, which also extends
-the comparison against the dual cyclic counts to pointed unbounded inputs
-where no orientation machinery applies.
+integer generator over the integer vertices of a faces.Analysis, and ties
+are detected exactly, so a redraw is the only possible reaction to a
+degenerate draw. The alternating-sum transform recovers the same
+histogram from the f-vector alone, which also extends the comparison
+against the dual cyclic counts to pointed unbounded inputs where no
+orientation machinery applies.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import GenericObjectiveError, NotSimpleError
-from .faces import Analysis, analyze
+from .faces import Analysis, IntVec
 from .formulas import binom, dual_cyclic_f_vector
-from .model import HPolytope, Vec, dot
 
 HVector = tuple[int, ...]
 
@@ -42,46 +41,46 @@ def f_from_h(h: Sequence[int]) -> tuple[int, ...]:
         sum(binom(r, k) * h[r] for r in range(k, d + 1)) for k in range(d + 1))
 
 
-def _draw_objective(rng: random.Random, dim: int) -> Vec:
-    # Integer entries in [-2^31, 2^31); exact, and small downstream products.
-    return tuple(Fraction(rng.randrange(-2 ** 31, 2 ** 31)) for _ in range(dim))
-
-
-def orient_edges(points: list[Vec], edges: list[tuple[int, int]], seed: int
-                 ) -> tuple[Vec, list[tuple[int, int]]]:
+def orient_edges(vertices: list[IntVec], edges: list[tuple[int, int]], seed: int
+                 ) -> list[tuple[int, int]]:
     """Draw a tie-free objective and orient each edge toward larger value.
 
-    Returns (objective, directed edges tail->head). Redraws on any exact
-    tie, up to a fixed limit.
+    Vertex k is a homogeneous integer vector (g_k, t_k), t_k > 0, with
+    value s_k/t_k for s_k = c.g_k, so edge {u, v} ties iff s_u t_v ==
+    s_v t_u and points to v iff s_u t_v < s_v t_u. c has integer entries
+    in [-2^31, 2^31). Returns the directed edges tail->head. Redraws on
+    any exact tie, up to a fixed limit.
     """
     rng = random.Random(seed)
+    dim = len(vertices[0]) - 1 if vertices else 0
     for _ in range(_REDRAW_LIMIT):
-        c = _draw_objective(rng, len(points[0]) if points else 0)
-        values = [dot(c, pt) for pt in points]
-        if any(values[u] == values[v] for u, v in edges):
+        c = [rng.randrange(-2 ** 31, 2 ** 31) for _ in range(dim)]
+        values = [sum(a * b for a, b in zip(c, g)) for g in vertices]
+        cross = [(values[u] * vertices[v][-1], values[v] * vertices[u][-1])
+                 for u, v in edges]
+        if any(su == sv for su, sv in cross):
             continue
-        directed = [(u, v) if values[u] < values[v] else (v, u) for u, v in edges]
-        return c, directed
+        return [(u, v) if su < sv else (v, u)
+                for (u, v), (su, sv) in zip(edges, cross)]
     raise GenericObjectiveError(
         f"no tie-free objective within {_REDRAW_LIMIT} redraws")
 
 
-def indegree_hvector(x: HPolytope | Analysis, seed: int) -> HVector:
+def indegree_hvector(a: Analysis, seed: int) -> HVector:
     """Histogram of vertex indegrees under a seeded generic objective.
 
     Requires a bounded simple polytope; the histogram has d+1 bins and is
     the same for every generic objective.
     """
-    a = analyze(x)
     if not a.bounded:
         raise NotSimpleError("indegree histogram requires a bounded polytope")
     if not a.simple:
         raise NotSimpleError(
             "indegree histogram requires a simple polytope "
             "(every vertex on exactly d rows)")
-    points, edges = a.edge_graph
-    _, directed = orient_edges(points, edges, seed)
-    indeg = [0] * len(points)
+    vertices = [g for g, _ in a.generators]  # bounded: every generator is a vertex
+    directed = orient_edges(vertices, a.edge_graph, seed)
+    indeg = [0] * len(vertices)
     for _, head in directed:
         indeg[head] += 1
     counts = [0] * (a.p.dim + 1)
@@ -105,7 +104,7 @@ class UbtComparison:
     satisfied: bool
 
 
-def strengthened_ubt_check(x: HPolytope | Analysis) -> UbtComparison:
+def strengthened_ubt_check(a: Analysis) -> UbtComparison:
     """Compare h of a simple n-row polytope against the dual cyclic h(n, d).
 
     Both sides come from the f-to-h transform: the right side from the
@@ -114,7 +113,6 @@ def strengthened_ubt_check(x: HPolytope | Analysis) -> UbtComparison:
     in the vertex sense (every vertex on exactly d rows), which also covers
     pointed unbounded inputs, where face counts include unbounded faces.
     """
-    a = analyze(x)
     if not a.simple:
         raise NotSimpleError("the h comparison assumes a simple polytope")
     h_p = h_from_f(a.f_vector)

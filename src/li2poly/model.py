@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import HRepParseError
 
@@ -32,12 +31,6 @@ _RATIONAL_RE = re.compile(f"^-?{_DIGITS}(?:/{_DIGITS})?$")
 _FAMILY_RE = re.compile(rf"^#\s*family:\s*(\w+)\s+n=({_DIGITS})\s+d=({_DIGITS})\s*$")
 
 FAMILY_NAMES = ("pstar", "dualcyclic", "prism3", "polygon")
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -155,3 +155,10 @@ def contains(p, x: Sequence[Fraction]) -> bool:
 def tight_at(p, x: Sequence[Fraction]) -> frozenset[int]:
     """The rows of an HPolytope that x satisfies with equality."""
     return frozenset(i for i, c in enumerate(p.constraints) if slack(c, x) == 0)
+
+
+def vertex_points(generators) -> list[tuple[Vec, int]]:
+    """Each vertex generator (g, t), t > 0, of an Analysis as the point g/t,
+    with its tight-row bitset, in generator order; rays are skipped."""
+    return [(tuple(Fraction(x, g[-1]) for x in g[:-1]), zeros)
+            for g, zeros in generators if g[-1]]

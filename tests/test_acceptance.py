@@ -46,13 +46,13 @@ def test_criterion_1_vertex_counts():
 
 def test_criterion_2_f_vector_oracle_match():
     start = time.perf_counter()
-    ok = faces.f_vector(constructors.pstar(12, 6)) == (64, 192, 240, 160, 60, 12, 1)
+    ok = faces.Analysis(constructors.pstar(12, 6)).f_vector == (64, 192, 240, 160, 60, 12, 1)
     for n, d in ((6, 3), (7, 3), (8, 4), (10, 4), (9, 5), (14, 8)):
-        enumerated = faces.f_vector(constructors.dual_cyclic(n, d))
+        enumerated = faces.Analysis(constructors.dual_cyclic(n, d)).f_vector
         ok &= enumerated == formulas.dual_cyclic_f_vector(n, d)
     # The paper's d = 8..10 instances, bounded and not, at the default budget.
     for n, d in ((16, 8), (17, 9), (20, 10), (21, 9)):
-        ok &= faces.f_vector(constructors.pstar(n, d)) == formulas.pstar_f_vector(n, d)
+        ok &= faces.Analysis(constructors.pstar(n, d)).f_vector == formulas.pstar_f_vector(n, d)
     ok &= time.perf_counter() - start < 120
     assert _report(2, "full f-vector oracle match", ok)
 
@@ -115,7 +115,7 @@ def _dual_cyclic_f_from_ubt(n: int, d: int) -> list[int]:
 
 
 def test_criterion_6_non_realizability_bounds():
-    adjacency = faces.facet_adjacency_count(cached_instance("pstar", 12, 6))
+    adjacency = faces.Analysis(cached_instance("pstar", 12, 6)).facet_adjacency_count
     bound = formulas.lemma41_bound(12, 12, 6)
     part1 = adjacency == 60 and bound == Fraction(368, 5) and adjacency <= bound
 
@@ -148,7 +148,7 @@ def test_criterion_6_non_realizability_bounds():
     for n, d, k in sorted(TRIANGLE_FACTOR_EQUALITIES):
         if (n, d) not in enumerated:
             enumerated[n, d] = (cached_f_vector("pstar", n, d),
-                                faces.f_vector(constructors.dual_cyclic(n, d)))
+                                faces.Analysis(constructors.dual_cyclic(n, d)).f_vector)
         fp, fc = enumerated[n, d]
         closed = (formulas.fk_pstar(n, d, k), formulas.fk_dual_cyclic(n, d, k))
         assert (fp[k], fc[k]) == closed, ("formula and enumeration disagree",
@@ -203,7 +203,7 @@ def test_criterion_9_robustness(capsys):
     square = unit_square()
     duplicated = HPolytope(2, square.constraints + (square.constraints[0],))
     try:
-        faces.facet_adjacency_count(duplicated)
+        faces.Analysis(duplicated).facet_adjacency_count
         ok = False
     except RedundantInputError:
         pass
@@ -211,11 +211,11 @@ def test_criterion_9_robustness(capsys):
     rng = random.Random(99)
     for p in (constructors.pstar(8, 4), constructors.dual_cyclic(6, 3),
               constructors.prism3(6)):
-        base = faces.f_vector(p)
+        base = faces.Analysis(p).f_vector
         for _ in range(2):
             order = list(range(p.n))
             rng.shuffle(order)
-            if faces.f_vector(permuted(p, order)) != base:
+            if faces.Analysis(permuted(p, order)).f_vector != base:
                 ok = False
     with capsys.disabled():
         assert _report(9, "robustness and permutation invariance", ok)

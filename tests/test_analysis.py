@@ -61,29 +61,23 @@ def test_commands_build_each_result_once_and_run_no_program(monkeypatch, capsys,
     assert not any(name in sys.modules for name in LP_MODULES)
 
 
-def _count_vertex_builds(monkeypatch) -> list:
-    """Make Analysis.vertices uncached and record each build."""
-    builds = []
-    build = faces.Analysis.vertices.func
-    monkeypatch.setattr(faces.Analysis, "vertices",
-                        property(lambda a: builds.append(a) or build(a)))
-    return builds
-
-
-@pytest.mark.parametrize("argv, vertex_builds", [
-    (["fvector", "--method", "enumerate", "--no-timing", "--in"], 0),
+@pytest.mark.parametrize("argv, builds", [
+    (["verify", "pstar", "--n", "8", "--d", "4", "--json", "--no-timing"], 1),
     (["verify", "pstar", "--n", "13", "--d", "7", "--json", "--no-timing"], 0),
-    (["hvector", "--seed", "0", "--no-timing", "--in"], 1),
-], ids=["fvector_pstar_8_4", "verify_pstar_13_7", "hvector_pstar_8_4"])
-def test_only_the_edge_graph_builds_fraction_vertices(monkeypatch, capsys, tmp_path,
-                                                      argv, vertex_builds):
-    # Lattice, simplicity and the h transform read the generators' bitsets.
+    (["fvector", "--method", "enumerate", "--no-timing", "--in"], 0),
+    (["hvector", "--seed", "0", "--repeat", "3", "--no-timing", "--in"], 1),
+], ids=["verify_pstar_8_4", "verify_pstar_13_7", "fvector_pstar_8_4",
+        "hvector_pstar_8_4"])
+def test_edge_graph_is_built_once_and_only_when_oriented(monkeypatch, capsys,
+                                                         tmp_path, argv, builds):
+    # The three verify seeds and the three hvector repeats share one build;
+    # an unbounded verify and an f-vector orient nothing.
     if argv[-1] == "--in":
         argv = argv + [_write(tmp_path, constructors.pstar(8, 4))]
-    builds = _count_vertex_builds(monkeypatch)
+    counts = _count_calls(monkeypatch, (faces.edge_graph,))
     assert run(argv) == 0
     capsys.readouterr()
-    assert len(builds) == vertex_builds
+    assert counts == {"li2poly.faces.edge_graph": builds}
 
 
 def test_lattice_and_redundancy_scan_share_one_transpose(monkeypatch):
@@ -92,13 +86,13 @@ def test_lattice_and_redundancy_scan_share_one_transpose(monkeypatch):
     analysis.generators  # the kernel transposes its intermediate zero sets
     counts = _count_calls(monkeypatch, (faces._transpose,))
     analysis.face_bits
-    assert faces.redundant_constraints(analysis) == frozenset()
+    assert analysis.redundant == frozenset()
     assert counts == {"li2poly.faces._transpose": 1}
 
 
 def test_facet_adjacency_runs_no_program(monkeypatch):
     counts = _count_calls(monkeypatch, WORKERS + (faces.redundant_rows,))
-    assert faces.facet_adjacency_count(constructors.convex_polygon(5)) == 5
+    assert faces.Analysis(constructors.convex_polygon(5)).facet_adjacency_count == 5
     assert set(counts.values()) == {1}
     assert not any(name in sys.modules for name in LP_MODULES)
 
@@ -123,11 +117,11 @@ def test_empty_input_is_reported_empty(tmp_path, capsys):
             assert (captured.out, captured.err) == ("", "error: polyhedron is empty\n")
 
 
-@pytest.mark.parametrize("query", [faces.is_simple, faces.edge_graph,
-                                   faces.facet_adjacency_count])
+@pytest.mark.parametrize("query", ["simple", "edge_graph", "facet_adjacency_count"],
+                         ids=["is_simple", "edge_graph", "facet_adjacency_count"])
 def test_non_pointed_input_is_rejected_as_non_pointed(query):
     with pytest.raises(NonPointedError):
-        query(model.parse_hrep(STRIP))
+        getattr(faces.Analysis(model.parse_hrep(STRIP)), query)
 
 
 def test_hvector_repeat_shares_one_lattice(monkeypatch, capsys, tmp_path):
@@ -147,8 +141,10 @@ def _outcome(query, x):
 
 
 def _queries():
-    queries = {"f_vector": faces.f_vector, "edge_graph": faces.edge_graph,
-               "is_simple": faces.is_simple,
+    queries = {"f_vector": lambda a: a.f_vector,
+               "edge_graph": lambda a: a.edge_graph,
+               "simple": lambda a: a.simple,
+               "facet_adjacency_count": lambda a: a.facet_adjacency_count,
                "ubt": hvector.strengthened_ubt_check}
     for seed in (0, 1, 2):
         queries[f"h_seed_{seed}"] = (
@@ -156,7 +152,8 @@ def _queries():
     return queries
 
 
-UNBOUNDED = {"edge_graph": UnboundedInputError, "is_simple": UnboundedInputError,
+UNBOUNDED = {"edge_graph": UnboundedInputError,
+             "facet_adjacency_count": UnboundedInputError,
              "h_seed_0": NotSimpleError, "h_seed_1": NotSimpleError,
              "h_seed_2": NotSimpleError}
 NOT_SIMPLE = {"ubt": NotSimpleError, "h_seed_0": NotSimpleError,
@@ -171,10 +168,12 @@ NOT_SIMPLE = {"ubt": NotSimpleError, "h_seed_0": NotSimpleError,
     (square_pyramid, NOT_SIMPLE),
 ], ids=["pstar_8_4", "pstar_9_5", "dualcyclic_8_4", "prism3_8", "pyramid"])
 def test_shared_analysis_matches_fresh_calls(build, expected_errors):
+    # Each query on a fresh Analysis, and all of them in turn on one shared
+    # Analysis whose caches they fill, give the same answer or error.
     p = build()
     shared = faces.Analysis(p)
     for name, query in _queries().items():
-        fresh = _outcome(query, p)
+        fresh = _outcome(query, faces.Analysis(p))
         assert _outcome(query, shared) == fresh, name
         assert _outcome(query, shared) == fresh, name  # served from the cache
         if name in expected_errors:
@@ -183,15 +182,25 @@ def test_shared_analysis_matches_fresh_calls(build, expected_errors):
             assert fresh[0] == "ok", (name, fresh)
 
 
+def test_simple_reads_vertices_on_pointed_unbounded_inputs():
+    # Each vertex of pstar(9,5) lies on 5 rows and its rays do not count, as
+    # in the h comparison; the pyramid's cone has its apex on 4 rows in R^3.
+    a = faces.Analysis(constructors.pstar(9, 5))
+    assert not a.bounded and a.simple
+    assert hvector.strengthened_ubt_check(a).satisfied
+    cone = faces.Analysis(model.HPolytope(3, square_pyramid().constraints[1:]))
+    assert not cone.bounded and not cone.simple
+
+
 OVER_CAP = ("n=60, d=7: the Upper Bound Theorem allows 722433 faces; "
             "work 60 * 722433 = 43345980 exceeds max_work=")
 
 
 def test_caps_apply_before_the_vertex_scan():
     big = constructors.dual_cyclic(60, 7)  # sum_k f_k(c*(61,7)) = 722433
-    for check in (lambda: hvector.indegree_hvector(big, 0),
-                  lambda: hvector.strengthened_ubt_check(big),
-                  lambda: faces.is_simple(big)):
+    for check in (lambda: hvector.indegree_hvector(faces.Analysis(big), 0),
+                  lambda: hvector.strengthened_ubt_check(faces.Analysis(big)),
+                  lambda: faces.Analysis(big).simple):
         start = time.perf_counter()
         with pytest.raises(CapExceededError) as exc:
             check()

@@ -5,12 +5,12 @@ import pytest
 from li2poly import constructors, faces, model
 from li2poly.cli import run
 from li2poly.errors import DivisibilityError
-from fraction_linalg import ZERO, slack
+from fraction_linalg import ZERO, slack, vertex_points
 from lp_geometry import is_bounded
 
 
 def test_polygon_triangle_f_vector():
-    assert faces.f_vector(constructors.convex_polygon(3)) == (3, 3, 1)
+    assert faces.Analysis(constructors.convex_polygon(3)).f_vector == (3, 3, 1)
 
 
 def test_polygon_five_gon_structure():
@@ -23,7 +23,7 @@ def test_polygon_five_gon_structure():
 
 def test_polygon_each_edge_tight_on_two_vertices():
     p = constructors.convex_polygon(4)
-    vertices = faces.Analysis(p).vertices
+    vertices = vertex_points(faces.Analysis(p).generators)
     for i in range(p.n):
         assert sum(1 for _, tight in vertices if tight >> i & 1) == 2
     for m in range(3, 61):
@@ -78,7 +78,7 @@ def test_pstar_counts_match_vertex_formula():
 def test_pstar_odd_is_pointed_with_base_vertices():
     p = constructors.pstar(13, 7)
     assert p.n == 13
-    vertices = faces.Analysis(p).vertices
+    vertices = vertex_points(faces.Analysis(p).generators)
     assert len(vertices) == 64  # ((13-1)/3)^3
     assert all(v[6] == 0 for v, _ in vertices)
 
@@ -94,12 +94,13 @@ def test_pstar_divisibility_errors():
 
 def test_pstar_d2_is_polygon():
     p = constructors.pstar(7, 2)
-    assert faces.f_vector(p) == (7, 7, 1)
+    assert faces.Analysis(p).f_vector == (7, 7, 1)
 
 
 def test_pstar_even_is_simple():
     for n, d in ((8, 4), (12, 6)):
-        assert faces.is_simple(constructors.pstar(n, d))
+        a = faces.Analysis(constructors.pstar(n, d))
+        assert a.bounded and a.simple
 
 
 def test_pstar_vertices_take_consecutive_pairs_per_polygon():
@@ -109,7 +110,7 @@ def test_pstar_vertices_take_consecutive_pairs_per_polygon():
     m, half = n // (d // 2), d // 2
     p = constructors.pstar(n, d)
     combos = set()
-    for _, tight in faces.Analysis(p).vertices:
+    for _, tight in vertex_points(faces.Analysis(p).generators):
         labels = sorted(c.label for i, c in enumerate(p.constraints) if tight >> i & 1)
         per_pair = []
         for i in range(half):
@@ -124,18 +125,18 @@ def test_pstar_vertices_take_consecutive_pairs_per_polygon():
 
 
 def test_dual_cyclic_6_3():
-    assert faces.f_vector(constructors.dual_cyclic(6, 3)) == (8, 12, 6, 1)
+    assert faces.Analysis(constructors.dual_cyclic(6, 3)).f_vector == (8, 12, 6, 1)
 
 
 def test_dual_cyclic_8_4():
-    assert faces.f_vector(constructors.dual_cyclic(8, 4)) == (20, 40, 28, 8, 1)
+    assert faces.Analysis(constructors.dual_cyclic(8, 4)).f_vector == (20, 40, 28, 8, 1)
 
 
 def test_dual_cyclic_planar_is_polygon():
     for n in (3, 5, 8):
         if n > 2:
             p = constructors.dual_cyclic(n, 2)
-            assert faces.f_vector(p) == (n, n, 1)
+            assert faces.Analysis(p).f_vector == (n, n, 1)
 
 
 def test_dual_cyclic_rejects_small_n():
@@ -146,12 +147,12 @@ def test_dual_cyclic_rejects_small_n():
 def test_dual_cyclic_is_simple_and_bounded():
     p = constructors.dual_cyclic(8, 4)
     assert is_bounded(p)
-    assert faces.is_simple(p)
+    assert faces.Analysis(p).simple
 
 
 def test_prism3_paper_counts():
-    assert faces.f_vector(constructors.prism3(8)) == (12, 18, 8, 1)
-    assert faces.f_vector(constructors.prism3(5)) == (6, 9, 5, 1)
+    assert faces.Analysis(constructors.prism3(8)).f_vector == (12, 18, 8, 1)
+    assert faces.Analysis(constructors.prism3(5)).f_vector == (6, 9, 5, 1)
 
 
 def test_prism3_profile():
@@ -190,7 +191,7 @@ def test_family_registry_closed_forms_match_enumeration():
         family = constructors.FAMILIES[name]
         p = family.build(n, d)
         assert p.dim == (family.fixed_dim or d)
-        assert family.f_vector(n, d) == faces.f_vector(p)
+        assert family.f_vector(n, d) == faces.Analysis(p).f_vector
 
 
 def test_odd_pstar_every_row_supports_a_facet():

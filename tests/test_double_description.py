@@ -9,8 +9,8 @@ permutations of each and on random two-variable systems. Where the scan
 takes 9-66 s, the vertex count is checked against the closed forms and
 the Gale evenness count instead. On systems with a lineality space the
 kernel must report emptiness exactly where lp_geometry finds no point.
-faces.redundant_constraints must give the same rows, or the same error,
-as the LP scan of lp_geometry.
+Analysis.redundant must give the same rows, or the same error, as the LP
+scan of lp_geometry.
 """
 
 import random
@@ -25,6 +25,7 @@ from conftest import (RANDOM, SMALL, permuted, square_pyramid,
 from li2poly import constructors, faces, formulas
 from li2poly.errors import InfeasibleError, LI2PolyError, NonPointedError
 from li2poly.model import Constraint, HPolytope, parse_hrep
+from fraction_linalg import vertex_points
 from lp_geometry import feasible_point
 from lp_geometry import redundant_constraints as lp_redundant_constraints
 from scan_oracle import recession_ray_candidates, scan_vertices
@@ -55,7 +56,8 @@ def _kernel(p: HPolytope):
         if not g[-1]:
             lead = abs(next(x for x in g if x))
             rays.append((tuple(Fraction(x, lead) for x in g[:-1]), rows(zeros)))
-    return sorted((x, rows(tight)) for x, tight in a.vertices), sorted(rays)
+    return (sorted((x, rows(tight)) for x, tight in vertex_points(a.generators)),
+            sorted(rays))
 
 
 def _scan(p: HPolytope):
@@ -147,7 +149,7 @@ def _outcome(query, p):
 
 
 def _check_redundancy(p: HPolytope) -> None:
-    assert _outcome(faces.redundant_constraints, p) == \
+    assert _outcome(lambda p: faces.Analysis(p).redundant, p) == \
         _outcome(lp_redundant_constraints, p)
 
 

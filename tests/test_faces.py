@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 import fraction_linalg
+from fraction_linalg import vertex_points
 from conftest import (RANDOM, cached_f_vector, permuted, square_pyramid,
                       two_variable_systems, unit_square)
 from li2poly import constructors, faces, formulas
@@ -20,7 +21,7 @@ def test_square_vertices(square):
 
 
 def test_square_lattice(square):
-    assert faces.f_vector(square) == (4, 4, 1)
+    assert faces.Analysis(square).f_vector == (4, 4, 1)
 
 
 def test_non_pointed_rejected():
@@ -56,13 +57,13 @@ def test_face_dims_match_tight_ranks_on_lower_dimensional_systems(p):
 
 
 def test_pyramid_apex_tight_on_four():
-    pyramid = square_pyramid()
-    vertices = faces.Analysis(pyramid).vertices
+    analysis = faces.Analysis(square_pyramid())
+    vertices = vertex_points(analysis.generators)
     assert len(vertices) == 5
     sizes = sorted(t.bit_count() for _, t in vertices)
     assert sizes == [3, 3, 3, 3, 4]
-    assert not faces.is_simple(pyramid)
-    assert faces.f_vector(pyramid) == (5, 8, 5, 1)
+    assert analysis.bounded and not analysis.simple
+    assert analysis.f_vector == (5, 8, 5, 1)
 
 
 def test_pstar_12_6_lattice():
@@ -106,8 +107,9 @@ def test_simple_bounded_edge_count_identity():
 
 
 def test_edge_graph_square_cycle(square):
-    points, edges = faces.edge_graph(square)
-    assert len(points) == 4 and len(edges) == 4
+    analysis = faces.Analysis(square)
+    edges = analysis.edge_graph
+    assert len(analysis.generators) == 4 and len(edges) == 4
     degree = [0] * 4
     for u, v in edges:
         degree[u] += 1
@@ -116,9 +118,11 @@ def test_edge_graph_square_cycle(square):
 
 
 def test_edge_graph_pstar_8_4_regular():
-    points, edges = faces.edge_graph(constructors.pstar(8, 4))
-    assert len(points) == 16 and len(edges) == 32
-    degree = [0] * len(points)
+    analysis = faces.Analysis(constructors.pstar(8, 4))
+    edges = analysis.edge_graph
+    assert len(analysis.generators) == 16 and len(edges) == 32
+    assert edges == sorted(edges) and all(u < v for u, v in edges)
+    degree = [0] * len(analysis.generators)
     for u, v in edges:
         degree[u] += 1
         degree[v] += 1
@@ -127,19 +131,19 @@ def test_edge_graph_pstar_8_4_regular():
 
 def test_edge_graph_rejects_unbounded():
     with pytest.raises(UnboundedInputError):
-        faces.edge_graph(constructors.pstar(7, 3))
+        faces.Analysis(constructors.pstar(7, 3)).edge_graph
 
 
 def test_facet_adjacency_square(square):
-    assert faces.facet_adjacency_count(square) == 4
+    assert faces.Analysis(square).facet_adjacency_count == 4
 
 
 def test_facet_adjacency_pstar_12_6():
-    assert faces.facet_adjacency_count(constructors.pstar(12, 6)) == 60
+    assert faces.Analysis(constructors.pstar(12, 6)).facet_adjacency_count == 60
 
 
 def test_facet_adjacency_dual_cyclic_8_4_complete():
-    assert faces.facet_adjacency_count(constructors.dual_cyclic(8, 4)) == 28
+    assert faces.Analysis(constructors.dual_cyclic(8, 4)).facet_adjacency_count == 28
 
 
 def test_facet_adjacency_rejects_lower_dimensional():
@@ -148,25 +152,25 @@ def test_facet_adjacency_rejects_lower_dimensional():
     # and rows are not facets.
     flat = parse_hrep("6 3\n1 0 0 1\n-1 0 0 0\n0 1 0 1\n0 -1 0 0\n"
                       "0 0 1 0\n0 0 -1 0")
-    assert faces.redundant_constraints(flat) == frozenset()
+    assert faces.Analysis(flat).redundant == frozenset()
     with pytest.raises(InputError, match="not full-dimensional"):
-        faces.facet_adjacency_count(flat)
+        faces.Analysis(flat).facet_adjacency_count
 
 
 def test_facet_adjacency_rejects_redundant(square):
     dup = HPolytope(2, square.constraints + (square.constraints[0],))
     with pytest.raises(RedundantInputError):
-        faces.facet_adjacency_count(dup)
+        faces.Analysis(dup).facet_adjacency_count
 
 
 def test_f_vector_invariant_under_row_permutation():
     rng = random.Random(7)
     for p in (constructors.pstar(8, 4), constructors.dual_cyclic(6, 3),
               constructors.prism3(6)):
-        base = faces.f_vector(p)
+        base = faces.Analysis(p).f_vector
         order = list(range(p.n))
         rng.shuffle(order)
-        assert faces.f_vector(permuted(p, order)) == base
+        assert faces.Analysis(permuted(p, order)).f_vector == base
 
 
 def test_caps_reject_oversized_input(monkeypatch):
@@ -174,19 +178,19 @@ def test_caps_reject_oversized_input(monkeypatch):
     # sum_k f_k(c*(n + 1, d)), must fit the budget. dual_cyclic(25,2) has
     # 26 + 26 + 1 = 53 faces at most, so 25 * 53 = 1325 of work.
     big = constructors.dual_cyclic(25, 2)
-    assert faces.f_vector(big) == (25, 25, 1)
-    assert faces.f_vector(faces.Analysis(big, max_work=1325)) == (25, 25, 1)
+    assert faces.Analysis(big).f_vector == (25, 25, 1)
+    assert faces.Analysis(big, max_work=1325).f_vector == (25, 25, 1)
     with pytest.raises(CapExceededError,
                        match=r"allows 53 faces; work 25 \* 53 = 1325 exceeds max_work=1324$"):
         faces.Analysis(big, max_work=1324)
     # The 3-cube's 6 rows allow f(c*(7,3)) = (10, 15, 7, 1): 6 * 33 = 198.
     cube = parse_hrep("6 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n"
                       "-1 0 0 0\n0 -1 0 0\n0 0 -1 0")
-    assert faces.f_vector(faces.Analysis(cube, max_work=198)) == (8, 12, 6, 1)
+    assert faces.Analysis(cube, max_work=198).f_vector == (8, 12, 6, 1)
     monkeypatch.setattr(faces, "enumerate_vertices", lambda p: pytest.fail("ran"))
     monkeypatch.setattr(faces, "face_lattice", lambda a: pytest.fail("ran"))
     with pytest.raises(CapExceededError, match=r"work 6 \* 33 = 198 exceeds max_work=197$"):
-        faces.f_vector(faces.Analysis(cube, max_work=197))
+        faces.Analysis(cube, max_work=197).f_vector
 
 
 def test_caps_apply_one_rule():
@@ -210,7 +214,7 @@ def test_caps_apply_one_rule():
 def _check_face_bound(p):
     # Upper Bound Theorem: a pointed polyhedron with n rows has at most
     # f_k(c*(n + 1, d)) k-faces, lower-dimensional and unbounded ones too.
-    f = faces.f_vector(p)
+    f = faces.Analysis(p).f_vector
     bound = formulas.dual_cyclic_f_vector(p.n + 1, p.dim)
     assert faces.face_bound(p.n, p.dim) == bound
     assert all(fk <= bk for fk, bk in zip(f, bound)), (f, bound)
@@ -240,7 +244,7 @@ def test_face_counts_within_upper_bound_on_unbounded_inputs(make):
 
 def test_duplicate_rows_do_not_change_face_counts(square):
     dup = HPolytope(2, square.constraints + (square.constraints[0],))
-    assert faces.f_vector(dup) == (4, 4, 1)
+    assert faces.Analysis(dup).f_vector == (4, 4, 1)
     right_edge = next(tight for dim, tight, _ in faces.Analysis(dup).face_bits
                       if dim == 1 and tight & 1)
     assert right_edge == 1 << 0 | 1 << 4  # both copies tight
@@ -249,7 +253,7 @@ def test_duplicate_rows_do_not_change_face_counts(square):
 def test_lower_dimensional_polytope():
     # The segment x = 1, 0 <= y <= 1 in the plane: implicit equality rows.
     p = parse_hrep("4 2\n1 0 1\n-1 0 -1\n0 1 1\n0 -1 0")
-    assert faces.f_vector(p) == (2, 1, 0)
+    assert faces.Analysis(p).f_vector == (2, 1, 0)
     dim, tight, _ = max(faces.Analysis(p).face_bits)
     assert dim == 1 and tight == 1 << 0 | 1 << 1
 
@@ -260,11 +264,11 @@ def test_product_structure_total_face_count():
     # the square of the polygon's (13 for a hexagon: 6 + 6 + 1).
     analysis = faces.Analysis(constructors.pstar(12, 4))
     assert len(analysis.face_bits) == 13 * 13
-    assert faces.f_vector(analysis) == (36, 72, 48, 12, 1)
+    assert analysis.f_vector == (36, 72, 48, 12, 1)
 
 
 def test_one_dimensional_segment():
     p = parse_hrep("2 1\n1 1\n-1 0")
-    assert faces.f_vector(p) == (2, 1)
-    points, edges = faces.edge_graph(p)
-    assert len(points) == 2 and edges == [(0, 1)]
+    analysis = faces.Analysis(p)
+    assert analysis.f_vector == (2, 1)
+    assert len(analysis.generators) == 2 and analysis.edge_graph == [(0, 1)]

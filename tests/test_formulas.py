@@ -163,6 +163,24 @@ def test_thm42_range_errors():
         thm42_bound(10, 10, 4, 3)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((10, 10, 3, 1), "assumes d >= 4"),
+    ((10, 10, 4, 3), "applies for k <= d-2"),
+    ((10, 20, 4, 0), r"need 0 <= n_prime <= n"),
+    ((10, -3, 4, 0), r"need 0 <= n_prime <= n"),
+])
+def test_both_thm42_readings_check_the_same_range(args, message):
+    for bound in (thm42_bound, thm42_bound_literal):
+        with pytest.raises(ValueError, match=message):
+            bound(*args)
+
+
+@pytest.mark.parametrize("d", [0, 1, -2])
+def test_leading_terms_reject_d_below_2(d):
+    with pytest.raises(ValueError, match="d >= 2"):
+        leading_terms(10, d, 0)
+
+
 def test_ratio_examples():
     rows = ratio_report(4, [40], 0)
     assert rows[0].ratio == F(37, 20)

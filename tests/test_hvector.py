@@ -1,14 +1,21 @@
-"""Orientation h-vectors, the f/h transforms, and the h comparison."""
+"""Orientation h-vectors, the f/h transforms, and the h comparison.
+
+The integer orientation of hvector.orient_edges is checked against the
+Fraction orientation it replaced, kept here as the reference.
+"""
+
+import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (cached_analysis, cached_f_vector, simplex3,
-                      square_pyramid, unit_square)
+from conftest import (RANDOM, cached_analysis, cached_f_vector, simplex3,
+                      square_pyramid, two_variable_systems, unit_square)
 from li2poly import constructors, faces, hvector
 from li2poly.errors import GenericObjectiveError, NotSimpleError
-from fraction_linalg import ZERO, dot
+from fraction_linalg import ZERO, dot, vertex_points
 
 
 def test_h_from_f_simplex():
@@ -41,12 +48,12 @@ def test_transforms_are_mutually_inverse(v):
 
 
 def test_indegree_pentagon():
-    p = constructors.convex_polygon(5)
+    p = faces.Analysis(constructors.convex_polygon(5))
     assert hvector.indegree_hvector(p, 0) == (1, 3, 1)
 
 
 def test_indegree_simplex():
-    assert hvector.indegree_hvector(simplex3(), 0) == (1, 1, 1, 1)
+    assert hvector.indegree_hvector(faces.Analysis(simplex3()), 0) == (1, 1, 1, 1)
 
 
 def test_indegree_pstar_12_6():
@@ -56,18 +63,75 @@ def test_indegree_pstar_12_6():
 
 def test_indegree_rejects_non_simple():
     with pytest.raises(NotSimpleError):
-        hvector.indegree_hvector(square_pyramid(), 0)
+        hvector.indegree_hvector(faces.Analysis(square_pyramid()), 0)
 
 
 def test_indegree_rejects_unbounded():
     with pytest.raises(NotSimpleError):
-        hvector.indegree_hvector(constructors.pstar(7, 3), 0)
+        hvector.indegree_hvector(faces.Analysis(constructors.pstar(7, 3)), 0)
+
+
+def fraction_orient_edges(points, edges, seed):
+    """The replaced orientation: Fraction points and Fraction dot products.
+
+    Draws the same integers as hvector.orient_edges; returns the objective
+    and the directed edges tail->head.
+    """
+    rng = random.Random(seed)
+    for _ in range(hvector._REDRAW_LIMIT):
+        c = tuple(Fraction(rng.randrange(-2 ** 31, 2 ** 31))
+                  for _ in range(len(points[0]) if points else 0))
+        values = [dot(c, pt) for pt in points]
+        if any(values[u] == values[v] for u, v in edges):
+            continue
+        return c, [(u, v) if values[u] < values[v] else (v, u) for u, v in edges]
+    raise GenericObjectiveError("no tie-free objective")
+
+
+def _check_orientation_matches_fraction_reference(analysis, seeds):
+    vertices = [g for g, _ in analysis.generators]
+    points = [x for x, _ in vertex_points(analysis.generators)]
+    edges = analysis.edge_graph
+    for seed in seeds:
+        try:
+            expected = ("ok", fraction_orient_edges(points, edges, seed)[1])
+        except GenericObjectiveError:
+            expected = ("tie",)
+        try:
+            got = ("ok", hvector.orient_edges(vertices, edges, seed))
+        except GenericObjectiveError:
+            got = ("tie",)
+        assert got == expected, seed
+
+
+@pytest.mark.parametrize("build", [
+    lambda: constructors.pstar(8, 4), lambda: constructors.pstar(12, 6),
+    lambda: constructors.dual_cyclic(8, 4), lambda: constructors.dual_cyclic(10, 4),
+    lambda: constructors.prism3(8), lambda: constructors.convex_polygon(6),
+], ids=["pstar_8_4", "pstar_12_6", "dual_cyclic_8_4", "dual_cyclic_10_4",
+        "prism3_8", "polygon_6"])
+def test_integer_orientation_matches_fraction_reference(build):
+    analysis = faces.Analysis(build())
+    _check_orientation_matches_fraction_reference(analysis, range(10))
+
+
+@RANDOM
+@given(two_variable_systems())
+def test_integer_orientation_matches_fraction_reference_on_random_systems(p):
+    analysis = faces.Analysis(p)
+    assume(analysis.bounded)
+    _check_orientation_matches_fraction_reference(analysis, range(10))
 
 
 def test_orient_edges_redraw_limit():
-    # Coincident endpoints tie under every objective.
+    # Coincident endpoints tie under every objective, whatever the scale of
+    # their homogeneous vectors, and so they do in the Fraction reference.
     with pytest.raises(GenericObjectiveError):
-        hvector.orient_edges([(ZERO,), (ZERO,)], [(0, 1)], seed=0)
+        fraction_orient_edges([(ZERO, ZERO), (ZERO, ZERO)], [(0, 1)], seed=0)
+    for vertices in ([(0, 0, 1), (0, 0, 1)], [(1, 1), (2, 2)],
+                     [(3, -1, 2), (6, -2, 4)]):
+        with pytest.raises(GenericObjectiveError):
+            hvector.orient_edges(vertices, [(0, 1)], seed=0)
 
 
 def test_objective_independence_small_instances():
@@ -84,13 +148,13 @@ def test_unique_source_and_sink_per_face():
     for p in (unit_square(), constructors.convex_polygon(6),
               constructors.dual_cyclic(6, 3)):
         analysis = faces.Analysis(p)
-        points, edges = faces.edge_graph(analysis)
-        c, directed = hvector.orient_edges(points, edges, seed=11)
+        vertices = [g for g, _ in analysis.generators]
+        directed = hvector.orient_edges(vertices, analysis.edge_graph, seed=11)
         for dim, tight, face in analysis.face_bits:
             if dim < 1:
                 continue
-            # Bounded, so face bit k is point k of the edge graph.
-            members = {k for k in range(len(points)) if face >> k & 1}
+            # Bounded, so face bit k is vertex k of the edge graph.
+            members = {k for k in range(len(vertices)) if face >> k & 1}
             inside = [(u, v) for u, v in directed if u in members and v in members]
             outs = {u for u, _ in inside}
             ins = {v for _, v in inside}
@@ -115,13 +179,13 @@ def test_ubt_pstar_12_6_componentwise():
 
 
 def test_ubt_dual_cyclic_self_equality():
-    report = hvector.strengthened_ubt_check(constructors.dual_cyclic(8, 4))
+    report = hvector.strengthened_ubt_check(faces.Analysis(constructors.dual_cyclic(8, 4)))
     assert report.satisfied
     assert all(e.h_value == e.h_dual_cyclic for e in report.entries)
 
 
 def test_ubt_prism_attains_d3_bound():
-    report = hvector.strengthened_ubt_check(constructors.prism3(8))
+    report = hvector.strengthened_ubt_check(faces.Analysis(constructors.prism3(8)))
     assert report.satisfied
     assert all(e.h_value == e.h_dual_cyclic for e in report.entries)
     assert tuple(e.h_value for e in report.entries) == (1, 5, 5, 1)
@@ -129,10 +193,10 @@ def test_ubt_prism_attains_d3_bound():
 
 def test_ubt_rejects_non_simple():
     with pytest.raises(NotSimpleError):
-        hvector.strengthened_ubt_check(square_pyramid())
+        hvector.strengthened_ubt_check(faces.Analysis(square_pyramid()))
 
 
 def test_ubt_covers_pointed_unbounded():
-    report = hvector.strengthened_ubt_check(constructors.pstar(7, 3))
+    report = hvector.strengthened_ubt_check(faces.Analysis(constructors.pstar(7, 3)))
     assert report.satisfied
     assert tuple(e.h_value for e in report.entries) == (0, 1, 4, 1)

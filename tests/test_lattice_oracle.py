@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given
 
 from conftest import RANDOM, square_pyramid, two_variable_systems
+from fraction_linalg import vertex_points
 from li2poly import constructors, faces
 from li2poly.model import HPolytope, parse_hrep
 from lp_geometry import is_bounded
@@ -40,7 +41,7 @@ def _lattice(p: HPolytope):
     """The bit triples as (tight rows, dim, vertex points or None), sorted
     like lp_face_lattice."""
     a = faces.Analysis(p)
-    vertices = iter(a.vertices)
+    vertices = iter(vertex_points(a.generators))
     point = [next(vertices)[0] if g[-1] else None for g, _ in a.generators]
 
     def members(bits, count):

@@ -1,8 +1,10 @@
 """The package runs no linear program and no elimination outside its
 double-description kernel: every subcommand runs without the LP code, the
 Fraction linear algebra and a rank routine, which live in the test suite as
-the reference, and the suite itself collects without errors."""
+the reference, and the suite itself collects without errors. Face queries
+have one handle, faces.Analysis, over integer generators."""
 
+import functools
 import importlib
 import importlib.util
 import os
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 
 import li2poly
+from li2poly import faces, hvector, model
 from li2poly.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +45,19 @@ def test_every_subcommand_runs_without_the_lp_modules(tmp_path, capsys):
         module = importlib.import_module(module_name)
         for name in ("solve_lp_max", "_row_reduce", "_independent"):
             assert not hasattr(module, name)
+
+
+def test_queries_have_one_handle_over_integer_generators():
+    for name in li2poly.__all__:
+        assert getattr(li2poly, name) is not None, name
+    for name in ("analyze", "f_vector", "is_simple", "redundant_constraints",
+                 "facet_adjacency_count"):
+        assert not hasattr(faces, name), name
+        assert name not in li2poly.__all__ and not hasattr(li2poly, name), name
+    assert isinstance(faces.Analysis.facet_adjacency_count, functools.cached_property)
+    assert not hasattr(faces.Analysis, "vertices")
+    assert not hasattr(model, "dot")
+    assert not hasattr(hvector, "Fraction") and not hasattr(hvector, "_draw_objective")
 
 
 def test_suite_collects_without_errors():
