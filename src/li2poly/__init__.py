@@ -4,26 +4,34 @@ whose inequalities touch at most two variables.
 The package builds the paired-polygon product family and the dual cyclic
 polytope with exact rational data, enumerates their face lattices by brute
 force, and checks every closed-form count and separation bound against
-that oracle.
+that oracle. Each exported name is imported from its module on first use,
+so importing the package, or one module of it, loads no other module.
 """
 
-from .constructors import convex_polygon, dual_cyclic, prism3, pstar
-from .faces import Analysis, edge_graph, enumerate_vertices, face_lattice
-from .formulas import (fk_dual_cyclic, fk_pstar, gale_evenness_facet_count,
-                       leading_terms, lemma41_bound, ratio_report,
-                       thm42_bound, thm42_bound_literal)
-from .hvector import (f_from_h, h_from_f, indegree_hvector,
-                      strengthened_ubt_check)
-from .model import (Constraint, HPolytope, LI2Profile, li2_profile,
-                    parse_hrep, serialize_hrep)
+from importlib import import_module
 
-__all__ = [
-    "Constraint", "HPolytope", "LI2Profile", "Analysis",
-    "parse_hrep", "serialize_hrep", "li2_profile",
-    "convex_polygon", "pstar", "dual_cyclic", "prism3",
-    "enumerate_vertices", "face_lattice", "edge_graph",
-    "h_from_f", "f_from_h", "indegree_hvector", "strengthened_ubt_check",
-    "fk_dual_cyclic", "fk_pstar", "leading_terms", "lemma41_bound",
-    "thm42_bound", "thm42_bound_literal", "ratio_report",
-    "gale_evenness_facet_count",
-]
+_HOME = {
+    "Constraint": "model", "HPolytope": "model", "LI2Profile": "model",
+    "Analysis": "faces",
+    "parse_hrep": "model", "serialize_hrep": "model", "li2_profile": "model",
+    "convex_polygon": "constructors", "pstar": "constructors",
+    "dual_cyclic": "constructors", "prism3": "constructors",
+    "enumerate_vertices": "faces", "face_lattice": "faces", "edge_graph": "faces",
+    "h_from_f": "hvector", "f_from_h": "hvector",
+    "indegree_hvector": "hvector", "strengthened_ubt_check": "hvector",
+    "fk_dual_cyclic": "formulas", "fk_pstar": "formulas",
+    "leading_terms": "formulas", "lemma41_bound": "formulas",
+    "thm42_bound": "formulas", "thm42_bound_literal": "formulas",
+    "ratio_report": "formulas", "gale_evenness_facet_count": "formulas",
+}
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

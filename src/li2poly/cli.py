@@ -4,7 +4,8 @@ Subcommands construct instances, enumerate faces, verify the closed-form
 counts against the exact enumeration, report redundant rows, and emit
 JSON/CSV reports. Every enumerating command, `profile` included, goes
 through one faces.Analysis and its work cap, and none runs a linear
-program; verify checks the cap before it builds its instance.
+program; verify checks the cap before it builds its instance. A command
+imports constructors and hvector only if it runs them.
 Machine output goes to stdout, human-readable errors to stderr.
 
 Exit codes: 0 success (and, for verify, all checks pass), 1 a verification
@@ -24,7 +25,7 @@ import json
 import sys
 import time
 
-from . import constructors, faces, formulas, hvector, model
+from . import faces, formulas, model
 from .errors import InputError
 
 SCHEMA_VERSION = 1
@@ -64,6 +65,7 @@ def _require_at_least(args, name: str, low: int) -> None:
 
 def _family_tag(args) -> model.FamilyTag:
     """The constructor instance named by args.family, args.n and args.d."""
+    from . import constructors
     fixed = constructors.FAMILIES[args.family].fixed_dim
     if fixed is None and args.d is None:
         raise UsageError(f"family {args.family!r} requires --d")
@@ -75,6 +77,7 @@ def _family_tag(args) -> model.FamilyTag:
 
 
 def cmd_construct(args) -> int:
+    from . import constructors
     p = constructors.from_family(_family_tag(args))
     text = model.serialize_hrep(p)
     if args.out:
@@ -100,6 +103,7 @@ def cmd_fvector(args) -> int:
         if (p.family.n, p.family.d) != (p.n, p.dim):
             raise InputError(f"family tag n={p.family.n} d={p.family.d} does "
                              f"not match the header n={p.n} d={p.dim}")
+        from . import constructors
         f = constructors.FAMILIES[p.family.name].f_vector(p.family.n, p.family.d)
     else:
         f = faces.Analysis(p, args.max_work).f_vector
@@ -123,6 +127,7 @@ def cmd_hvector(args) -> int:
     elapsed = _timer()
     p = _read_polytope(args.infile)
     analysis = faces.Analysis(p)
+    from . import hvector
     seeds = [args.seed + i for i in range(args.repeat)]
     per_seed = [hvector.indegree_hvector(analysis, s) for s in seeds]
     agree = len(set(per_seed)) == 1
@@ -143,6 +148,7 @@ def cmd_hvector(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import constructors, hvector
     _require_at_least(args, "max_work", 1)
     total = _timer()
     timing: dict[str, float] = {}
@@ -357,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="write an H-rep for a known family")
-    c.add_argument("family", choices=tuple(constructors.FAMILIES))
+    c.add_argument("family", choices=model.FAMILY_NAMES)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--d", type=int)
     c.add_argument("--out")

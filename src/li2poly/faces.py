@@ -31,10 +31,10 @@ cached properties and the builders here and in hvector enumerate once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import (CapExceededError, InfeasibleError, InputError,
                      NonPointedError, RedundantInputError, UnboundedInputError)
@@ -69,16 +69,20 @@ def _bits(x: int):
 
 
 def _transpose(bitsets: list[int], n: int) -> list[int]:
-    """Bit k of entry i is set iff bit i of bitsets[k] is, for i < n."""
-    on_row = [bytearray(len(bitsets) // 8 + 1) for _ in range(n)]
-    for k, z in enumerate(bitsets):
-        for i in _bits(z):
-            on_row[i][k >> 3] |= 1 << (k & 7)
-    return [int.from_bytes(bits, "little") for bits in on_row]
+    """Bit k of entry i is set iff bit i of bitsets[k] is, for i < n.
+
+    Writes each bitset, masked to n bits, as n binary digits, the last
+    bitset first; digit n-1-i of every block is bit i, so the slice from
+    there in steps of n reads entry i, bitsets[0]'s bit last. The leading
+    block of zeros keeps the slices nonempty when there are no bitsets.
+    """
+    mask, width = (1 << n) - 1, f"0{n}b"
+    digits = "0" * n + "".join([format(z & mask, width) for z in reversed(bitsets)])
+    return [int(digits[n - 1 - i::n], 2) for i in range(n)]
 
 
 def _dot(u: IntVec, v: IntVec) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _primitive(v) -> IntVec:
@@ -196,24 +200,25 @@ def check_caps(n: int, d: int, max_work: int = DEFAULT_MAX_WORK) -> None:
             f"work {size} * {bound} = {size * bound} exceeds max_work={max_work}")
 
 
-@dataclass(frozen=True, eq=False)
 class Analysis:
     """The enumeration results of one polytope under one work budget.
 
-    Each property is computed on first access and cached on this object
-    only; cached values are shared, so callers must not mutate them. The
-    integer generators of enumerate_vertices and their row bitsets are
-    the source of everything else, under one numbering: bit k of a face is
+    The constructor runs check_caps before it stores anything, so an
+    over-budget input raises CapExceededError and nothing is built; p and
+    max_work are not reassigned afterwards, and equality is identity. Each
+    property is computed on first access and cached on this object only;
+    cached values are shared, so callers must not mutate them. The integer
+    generators of enumerate_vertices and their row bitsets are the source
+    of everything else, under one numbering: bit k of a face is
     generators[k], and on_row, their transpose, is built once for the
     lattice and the redundancy scan. Every query is read from these
     bitsets; a vertex stays the integer generator (g, t), the point g/t,
-    and no point is built. check_caps runs here first.
+    and no point is built.
     """
-    p: HPolytope
-    max_work: int = DEFAULT_MAX_WORK
 
-    def __post_init__(self):
-        check_caps(self.p.n, self.p.dim, self.max_work)
+    def __init__(self, p: HPolytope, max_work: int = DEFAULT_MAX_WORK):
+        check_caps(p.n, p.dim, max_work)
+        self.p, self.max_work = p, max_work
 
     @cached_property
     def generators(self) -> list[Generator]:

@@ -10,9 +10,9 @@ are rational comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import DivisibilityError
 
@@ -205,8 +205,7 @@ def thm42_bound_literal(n: int, n_prime: int, d: int, k: int) -> Fraction:
     return fk_dual_cyclic(n, d, k) - binom(d - 2, k) * inner
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One checked bound: exact formula value vs. an optional observed count."""
     quantity: str
     formula_value: Fraction
@@ -241,8 +240,7 @@ def separation_bound_reports(n: int, n_prime: int, d: int,
     return reports
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     """One row of the dual-cyclic-to-paired-polygon face-count ratio sweep."""
     n: int
     f_dual_cyclic: int

@@ -14,8 +14,7 @@ orientation machinery applies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import GenericObjectiveError, NotSimpleError
 from .faces import Analysis, IntVec
@@ -89,16 +88,14 @@ def indegree_hvector(a: Analysis, seed: int) -> HVector:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class UbtEntry:
+class UbtEntry(NamedTuple):
     index: int
     h_value: int
     h_dual_cyclic: int
     ok: bool
 
 
-@dataclass(frozen=True)
-class UbtComparison:
+class UbtComparison(NamedTuple):
     """Componentwise h(P) <= h(c*(n, d)) report."""
     entries: tuple[UbtEntry, ...]
     satisfied: bool

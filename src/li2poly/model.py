@@ -10,14 +10,15 @@ round-trips. The text format is deliberately plain:
     <d coefficients and one right-hand side per row, rationals like 2, -7, 3/4>
 
 Points and coefficient vectors are tuples of Fraction (Vec), so every
-comparison is exact. Everything here is immutable after construction.
+comparison is exact. The records are named tuples, immutable after
+construction; Constraint's equality and hash ignore its label.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import HRepParseError
 
@@ -33,8 +34,7 @@ _FAMILY_RE = re.compile(rf"^#\s*family:\s*(\w+)\s+n=({_DIGITS})\s+d=({_DIGITS})\
 FAMILY_NAMES = ("pstar", "dualcyclic", "prism3", "polygon")
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(NamedTuple):
     """Names the constructor an H-rep came from, for formula dispatch."""
     name: str
     n: int
@@ -44,35 +44,46 @@ class FamilyTag:
         return f"# family: {self.name} n={self.n} d={self.d}"
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """One inequality coeffs.x <= rhs."""
+class Constraint(NamedTuple):
+    """One inequality coeffs.x <= rhs; the label is not part of its value."""
     coeffs: Vec
     rhs: Fraction
-    label: str | None = field(default=None, compare=False)
+    label: str | None = None
+
+    def __eq__(self, other):
+        return isinstance(other, Constraint) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
-@dataclass(frozen=True)
-class HPolytope:
-    """A polyhedron {x in R^dim : all constraints hold}, row order preserved."""
+class _HPolytope(NamedTuple):
     dim: int
     constraints: tuple[Constraint, ...]
     family: FamilyTag | None = None
 
-    def __post_init__(self):
-        if self.dim <= 0:
+
+class HPolytope(_HPolytope):
+    """A polyhedron {x in R^dim : all constraints hold}, row order preserved."""
+    __slots__ = ()
+
+    def __new__(cls, dim: int, constraints: tuple[Constraint, ...],
+                family: FamilyTag | None = None):
+        if dim <= 0:
             raise ValueError("ambient dimension must be positive")
-        for c in self.constraints:
-            if len(c.coeffs) != self.dim:
-                raise ValueError("constraint dimension mismatch")
+        if any(len(c.coeffs) != dim for c in constraints):
+            raise ValueError("constraint dimension mismatch")
+        return super().__new__(cls, dim, constraints, family)
 
     @property
     def n(self) -> int:
         return len(self.constraints)
 
 
-@dataclass(frozen=True)
-class LI2Profile:
+class LI2Profile(NamedTuple):
     """Structural profile of how many variables each row touches.
 
     n_prime counts rows with exactly two nonzero coefficients and

@@ -212,6 +212,28 @@ def test_caps_apply_before_the_vertex_scan():
     faces.Analysis(big, max_work=43345980)  # admitted; no work until read
 
 
+def test_analysis_checks_caps_before_it_stores_or_enumerates(monkeypatch):
+    stored = []
+
+    class Watched(faces.Analysis):
+        def __setattr__(self, name, value):
+            stored.append(name)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(faces, "enumerate_vertices",
+                        lambda p: pytest.fail("enumerated an over-cap input"))
+    for p, max_work in ((constructors.dual_cyclic(60, 7), faces.DEFAULT_MAX_WORK),
+                        (constructors.pstar(8, 4), 1)):
+        with pytest.raises(CapExceededError):
+            Watched(p, max_work)
+    assert stored == []
+    p = constructors.pstar(8, 4)
+    a = Watched(p)
+    assert stored == ["p", "max_work"]
+    assert (a.p, a.max_work) == (p, faces.DEFAULT_MAX_WORK)
+    assert a == a and a != faces.Analysis(p)  # equality is identity
+
+
 def test_hvector_over_cap_exits_3_quickly(tmp_path, capsys):
     path = _write(tmp_path, constructors.dual_cyclic(60, 7))
     start = time.perf_counter()

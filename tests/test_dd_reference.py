@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 
 from conftest import RANDOM, cached_instance, permuted, two_variable_systems
-from dd_reference import reference_faces, reference_vertices
+from dd_reference import _incidence, reference_faces, reference_vertices
 from li2poly import faces
 from li2poly.errors import LI2PolyError, NonPointedError
 from li2poly.model import parse_hrep
@@ -35,6 +35,17 @@ def _check_bits(p):
     assert sorted(a.face_bits) == sorted(
         (dim, sum(1 << i for i in tight), face)
         for face, (dim, tight) in reference_faces(a).items())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 64, 65])
+def test_transpose_matches_the_per_bit_incidence(n):
+    rng = random.Random(n)
+    cases = [[], [0], [0] * 9, [1 << n - 1] * 3 if n else [], [(1 << n) - 1] * 5,
+             [1 << n, (1 << n + 3) - 1]]  # bits at and above n are ignored
+    cases += [[rng.getrandbits(n) for _ in range(m)] for m in (1, 7, 8, 9, 100)]
+    cases += [[rng.getrandbits(n + 4) for _ in range(m)] for m in (3, 17)]
+    for bitsets in cases:
+        assert faces._transpose(bitsets, n) == _incidence(n, bitsets), bitsets
 
 
 @pytest.mark.parametrize("name", INSTANCES)

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import permuted
-from li2poly import constructors
+from li2poly import constructors, formulas, hvector
 from li2poly.errors import HRepParseError
-from li2poly.model import (Constraint, HPolytope, li2_profile, parse_hrep,
-                           serialize_hrep)
+from li2poly.model import (Constraint, FamilyTag, HPolytope, LI2Profile,
+                           li2_profile, parse_hrep, serialize_hrep)
 
 
 def test_parse_basic():
@@ -166,3 +166,56 @@ def test_parse_rejects_non_ascii_digits(name):
         parse_hrep(text)
     assert str(err.value) == f"line {line}: {message}"
     assert err.value.line == line
+
+
+def test_constraint_and_polytope_values_ignore_labels():
+    one, two = Fraction(1), Fraction(2)
+    a = Constraint((one, two), one, "a")
+    b = Constraint((one, two), one, label="b")
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != Constraint((one, two), two, "a") and a != Constraint((two, one), one)
+    assert a != (a.coeffs, a.rhs, a.label)  # a record, not any equal tuple
+    assert Constraint((one,), one).label is None
+    p, q = HPolytope(2, (a, b)), HPolytope(2, (b, a), None)
+    assert p == q and not p != q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p.n == 2 and p.family is None
+    tagged = HPolytope(2, (a, b), FamilyTag("pstar", 2, 2))
+    assert tagged != p and tagged.family.comment() == "# family: pstar n=2 d=2"
+    assert HPolytope(2, (a,)) != p
+    with pytest.raises(AttributeError):
+        p.dim = 3
+    with pytest.raises(AttributeError):
+        a.label = "c"
+
+
+def test_polytope_validates_dimension_and_row_widths():
+    row = Constraint((Fraction(1), Fraction(0)), Fraction(1))
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="ambient dimension must be positive"):
+            HPolytope(dim, ())
+    with pytest.raises(ValueError, match="constraint dimension mismatch"):
+        HPolytope(3, (row,))
+    with pytest.raises(ValueError, match="constraint dimension mismatch"):
+        HPolytope(dim=2, constraints=(row, Constraint((Fraction(1),), Fraction(1))))
+    assert HPolytope(1, ()).n == 0
+
+
+@pytest.mark.parametrize("record, fields", [
+    (FamilyTag, ("name", "n", "d")),
+    (Constraint, ("coeffs", "rhs", "label")),
+    (HPolytope, ("dim", "constraints", "family")),
+    (LI2Profile, ("is_li2", "n_prime", "pair_counts", "single_var_count")),
+    (formulas.BoundReport, ("quantity", "formula_value", "oracle_value",
+                            "satisfied", "note")),
+    (formulas.RatioRow, ("n", "f_dual_cyclic", "f_pstar", "ratio", "threshold",
+                         "residue", "within_envelope")),
+    (hvector.UbtEntry, ("index", "h_value", "h_dual_cyclic", "ok")),
+    (hvector.UbtComparison, ("entries", "satisfied")),
+], ids=lambda x: x.__name__ if isinstance(x, type) else "")
+def test_records_keep_positional_fields(record, fields):
+    assert record._fields == fields
+    values = [{"coeffs": (Fraction(1),), "constraints": ()}.get(f, 1) for f in fields]
+    built = record(*values)
+    assert [getattr(built, f) for f in fields] == values
+    assert built == record(**dict(zip(fields, values)))
+    assert not hasattr(record, "__dataclass_fields__")

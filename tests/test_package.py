@@ -2,7 +2,8 @@
 double-description kernel: every subcommand runs without the LP code, the
 Fraction linear algebra and a rank routine, which live in the test suite as
 the reference, and the suite itself collects without errors. Face queries
-have one handle, faces.Analysis, over integer generators."""
+have one handle, faces.Analysis, over integer generators. A command imports
+only the modules it runs, and none imports dataclasses or inspect."""
 
 import functools
 import importlib
@@ -13,8 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import li2poly
-from li2poly import faces, hvector, model
+from li2poly import constructors, faces, hvector, model
 from li2poly.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +61,66 @@ def test_queries_have_one_handle_over_integer_generators():
     assert not hasattr(faces.Analysis, "vertices")
     assert not hasattr(model, "dot")
     assert not hasattr(hvector, "Fraction") and not hasattr(hvector, "_draw_objective")
+
+
+def test_lazy_exports_keep_the_public_surface():
+    for name in li2poly.__all__:
+        home = importlib.import_module(f"li2poly.{li2poly._HOME[name]}")
+        assert getattr(li2poly, name) is getattr(home, name), name
+    star = {}
+    exec("from li2poly import *", star)
+    assert set(li2poly.__all__) <= set(star)
+    assert set(li2poly.__all__) <= set(dir(li2poly))
+    for name in ("simplex", "no_such_name", "_no_such_name"):
+        assert not hasattr(li2poly, name)
+    with pytest.raises(AttributeError, match="'li2poly' has no attribute 'simplex'"):
+        li2poly.simplex
+
+
+def _imports(argv, cwd) -> tuple[int, set[str]]:
+    """Exit code and imported modules of a command, from -X importtime.
+
+    -S keeps the site's imports out of the list: only the package's count.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "li2poly.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+    return result.returncode, {line.rsplit("|", 1)[1].strip()
+                               for line in result.stderr.splitlines()
+                               if line.startswith("import time:")}
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    small, big = tmp_path / "small.hrep", tmp_path / "big.hrep"
+    small.write_text(model.serialize_hrep(constructors.pstar(8, 4)))
+    big.write_text(model.serialize_hrep(constructors.dual_cyclic(60, 7)))
+    hv, cons = "li2poly.hvector", "li2poly.constructors"
+    expected = {  # argv -> (exit code, which of hvector and constructors run)
+        ("fvector", "--method", "enumerate", "--in", str(small)): (0, set()),
+        ("profile", "--in", str(small)): (0, set()),
+        ("hvector", "--in", str(big), "--seed", "0"): (3, set()),  # over the cap
+        ("fvector", "--method", "enumerate", "--in", str(big)): (3, set()),
+        ("report", "bounds", "--n", "12", "--n-prime", "12", "--d", "6"): (0, set()),
+        ("construct", "pstar", "--n", "8", "--d", "4", "--out", "c"): (0, {cons}),
+        ("fvector", "--method", "formula", "--in", str(small)): (0, {cons}),
+        ("hvector", "--in", str(small), "--seed", "0"): (0, {hv}),
+        ("verify", "pstar", "--n", "8", "--d", "4", "--json"): (0, {hv, cons}),
+    }
+    for argv, (code, runs) in expected.items():
+        exit_code, modules = _imports(argv, tmp_path)
+        assert "li2poly.faces" in modules, argv  # the list is read at all
+        assert not {"dataclasses", "inspect"} & modules, argv
+        assert (exit_code, modules & {hv, cons}) == (code, runs), argv
+
+
+def test_importing_the_package_loads_no_module():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, li2poly; "
+            "print(sorted(m for m in sys.modules if m.startswith('li2poly')))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout.strip() == "['li2poly']", result.stderr
 
 
 def test_suite_collects_without_errors():
