@@ -20,7 +20,7 @@ _HOME = {
     "h_from_f": "hvector", "f_from_h": "hvector",
     "indegree_hvector": "hvector", "strengthened_ubt_check": "hvector",
     "fk_dual_cyclic": "formulas", "fk_pstar": "formulas",
-    "leading_terms": "formulas", "lemma41_bound": "formulas",
+    "lemma41_bound": "formulas",
     "thm42_bound": "formulas", "thm42_bound_literal": "formulas",
     "ratio_report": "formulas", "gale_evenness_facet_count": "formulas",
 }

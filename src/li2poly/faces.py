@@ -1,8 +1,9 @@
 """Exact enumeration of the face lattice of a pointed polyhedron.
 
 This module is the independent oracle the closed-form counts are checked
-against: it reads the Upper Bound Theorem's counts (face_bound) only to
-decide whether to run and to check its f-vector. Vertices and extreme
+against, and it reads none of them: the Upper Bound Theorem's counts that
+decide whether to run and check its f-vector (face_bound) come from
+McMullen's h-vector, computed here (dual_cyclic_h). Vertices and extreme
 rays come from one integer double-description pass (Motzkin, Raiffa,
 Thompson & Thrall 1953; Fukuda & Prodon 1996) over the homogenised cone
 {(x, t) : a_i.x - b_i.t <= 0, t >= 0}, started from the whole space, so
@@ -38,7 +39,6 @@ from operator import mul
 
 from .errors import (CapExceededError, InfeasibleError, InputError,
                      NonPointedError, RedundantInputError, UnboundedInputError)
-from .formulas import dual_cyclic_f_vector
 from .model import Constraint, HPolytope
 
 DEFAULT_MAX_WORK = 5_000_000
@@ -167,6 +167,18 @@ def enumerate_vertices(p: HPolytope) -> list[Generator]:
     return sorted((r, z & rows_mask) for r, z in zip(rays, zeros))
 
 
+def dual_cyclic_h(n: int, d: int) -> tuple[int, ...]:
+    """h(c*(n, d)): h_i = C(n - d - 1 + j, j) with j = min(i, d - i).
+
+    The h-vector of the dual cyclic polytope, the Upper Bound Theorem's
+    maximizer (McMullen 1970): its first half counts the monomials of
+    degree i in n - d variables, and Dehn-Sommerville mirrors it.
+    """
+    if n <= d:
+        raise ValueError(f"c*(n, d) needs n > d, got n={n} d={d}")
+    return tuple(comb(n - d - 1 + min(i, d - i), min(i, d - i)) for i in range(d + 1))
+
+
 def face_bound(n: int, d: int) -> FVector:
     """f_k(c*(max(n, d) + 1, d)) for k = 0..d: at most that many k-faces.
 
@@ -175,9 +187,12 @@ def face_bound(n: int, d: int) -> FVector:
     (McMullen 1970) it has at most f_k(c*(n + 1, d)) k-faces. A j-dimensional
     one spends d - j rows on its affine hull, and d - j pyramids, each with
     f_k(c*(m, j)) <= f_k(c*(m + 1, j + 1)), carry its bound to the same one;
-    for n < d, which has lines, the max only keeps c* defined.
+    for n < d, which has lines, the max only keeps c* defined. The counts
+    are f_k = sum_i C(i, k) h_i over dual_cyclic_h: every k-face has one
+    sink under a generic objective.
     """
-    return dual_cyclic_f_vector(max(n, d) + 1, d)
+    h = dual_cyclic_h(max(n, d) + 1, d)
+    return tuple(sum(comb(i, k) * hi for i, hi in enumerate(h)) for k in range(d + 1))
 
 
 def check_caps(n: int, d: int, max_work: int = DEFAULT_MAX_WORK) -> None:
@@ -187,7 +202,8 @@ def check_caps(n: int, d: int, max_work: int = DEFAULT_MAX_WORK) -> None:
     ANDs each face with each of the n rows, and the kernel starts from d + 1
     lines of d + 1 entries. A sum of at least the d-simplex's 2^(d+1) - 1
     faces rejects a large d before face_bound's O(d^2) binomials. Needs
-    only the sizes, so a caller can check before it builds.
+    only the sizes, so a caller can check before it builds, and reads no
+    closed form that the enumeration is checked against.
     """
     size = max(n, d)
     if d > max_work.bit_length() or size * (2 ** (d + 1) - 1) > max_work:

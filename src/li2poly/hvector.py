@@ -7,18 +7,18 @@ integer generator over the integer vertices of a faces.Analysis, and ties
 are detected exactly, so a redraw is the only possible reaction to a
 degenerate draw. The alternating-sum transform recovers the same
 histogram from the f-vector alone, which also extends the comparison
-against the dual cyclic counts to pointed unbounded inputs where no
-orientation machinery applies.
+against McMullen's h-vector of c*, faces.dual_cyclic_h, to pointed
+unbounded inputs where no orientation machinery applies.
 """
 
 from __future__ import annotations
 
 import random
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .errors import GenericObjectiveError, NotSimpleError
-from .faces import Analysis, IntVec
-from .formulas import binom, dual_cyclic_f_vector
+from .faces import Analysis, IntVec, dual_cyclic_h
 
 HVector = tuple[int, ...]
 
@@ -29,7 +29,7 @@ def h_from_f(f: Sequence[int]) -> HVector:
     """h_i = sum_{k>=i} (-1)^(k-i) C(k,i) f_k, the inverse of f_from_h."""
     d = len(f) - 1
     return tuple(
-        sum((-1) ** (k - i) * binom(k, i) * f[k] for k in range(i, d + 1))
+        sum((-1) ** (k - i) * comb(k, i) * f[k] for k in range(i, d + 1))
         for i in range(d + 1))
 
 
@@ -37,7 +37,7 @@ def f_from_h(h: Sequence[int]) -> tuple[int, ...]:
     """f_k = sum_{r>=k} C(r,k) h_r: every k-face has a unique sink."""
     d = len(h) - 1
     return tuple(
-        sum(binom(r, k) * h[r] for r in range(k, d + 1)) for k in range(d + 1))
+        sum(comb(r, k) * h[r] for r in range(k, d + 1)) for k in range(d + 1))
 
 
 def orient_edges(vertices: list[IntVec], edges: list[tuple[int, int]], seed: int
@@ -104,16 +104,17 @@ class UbtComparison(NamedTuple):
 def strengthened_ubt_check(a: Analysis) -> UbtComparison:
     """Compare h of a simple n-row polytope against the dual cyclic h(n, d).
 
-    Both sides come from the f-to-h transform: the right side from the
-    closed-form dual cyclic f-vector, the left from brute-force
-    enumeration, so no objective draw is involved. Simplicity is required
-    in the vertex sense (every vertex on exactly d rows), which also covers
-    pointed unbounded inputs, where face counts include unbounded faces.
+    The left side is the f-to-h transform of the brute-force f-vector, so
+    no objective draw is involved; the right side is McMullen's h-vector
+    of c*(n, d), faces.dual_cyclic_h, which raises ValueError naming n and
+    d when n <= d. Simplicity is required in the vertex sense (every vertex
+    on exactly d rows), which also covers pointed unbounded inputs, where
+    face counts include unbounded faces.
     """
     if not a.simple:
         raise NotSimpleError("the h comparison assumes a simple polytope")
     h_p = h_from_f(a.f_vector)
-    h_c = h_from_f(dual_cyclic_f_vector(a.p.n, a.p.dim))
+    h_c = dual_cyclic_h(a.p.n, a.p.dim)
     entries = tuple(
         UbtEntry(i, hp, hc, hp <= hc) for i, (hp, hc) in enumerate(zip(h_p, h_c)))
     return UbtComparison(entries, all(e.ok for e in entries))

@@ -9,7 +9,7 @@ import fraction_linalg
 from fraction_linalg import vertex_points
 from conftest import (RANDOM, cached_f_vector, permuted, square_pyramid,
                       two_variable_systems, unit_square)
-from li2poly import constructors, faces, formulas
+from li2poly import constructors, faces, formulas, hvector
 from li2poly.errors import (CapExceededError, InputError, NonPointedError,
                             RedundantInputError, UnboundedInputError)
 from li2poly.model import HPolytope, parse_hrep
@@ -209,6 +209,25 @@ def test_caps_apply_one_rule():
                         faces.check_caps(n, d, budget)
                 else:
                     faces.check_caps(n, d, budget)
+
+
+def test_dual_cyclic_h_matches_the_closed_forms_on_a_grid():
+    # McMullen's h-vector against the two-sum formula it replaced in the
+    # cap, and face_bound against the f-vector it stands for, n < d included.
+    for d in range(13):
+        for m in range(d + 1, 60):
+            f = formulas.dual_cyclic_f_vector(m, d)
+            assert faces.dual_cyclic_h(m, d) == hvector.h_from_f(f), (m, d)
+            assert faces.face_bound(m - 1, d) == f, (m, d)
+        simplex = formulas.dual_cyclic_f_vector(d + 1, d)
+        for n in range(d):
+            assert faces.face_bound(n, d) == simplex, (n, d)
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (0, 0), (2, 5)])
+def test_dual_cyclic_h_needs_more_rows_than_dimensions(n, d):
+    with pytest.raises(ValueError, match=rf"^c\*\(n, d\) needs n > d, got n={n} d={d}$"):
+        faces.dual_cyclic_h(n, d)
 
 
 def _check_face_bound(p):

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from leading_terms import leading_terms
 from li2poly import formulas
 from li2poly.errors import DivisibilityError
 from li2poly.formulas import (E_UPPER, binom, dual_cyclic_f_vector,
                               fk_dual_cyclic, fk_pstar, gale_evenness_facet_count,
-                              leading_terms, lemma41_bound, pstar_f_vector,
-                              ratio_report, thm42_bound, thm42_bound_literal,
-                              two_variable_deficit)
+                              lemma41_bound, pstar_f_vector, ratio_report,
+                              thm42_bound, thm42_bound_literal, two_variable_deficit)
 
 F = Fraction
 

@@ -15,6 +15,7 @@ from conftest import (RANDOM, cached_analysis, cached_f_vector, simplex3,
                       square_pyramid, two_variable_systems, unit_square)
 from li2poly import constructors, faces, hvector
 from li2poly.errors import GenericObjectiveError, NotSimpleError
+from li2poly.model import parse_hrep
 from fraction_linalg import ZERO, dot, vertex_points
 
 
@@ -194,6 +195,14 @@ def test_ubt_prism_attains_d3_bound():
 def test_ubt_rejects_non_simple():
     with pytest.raises(NotSimpleError):
         hvector.strengthened_ubt_check(faces.Analysis(square_pyramid()))
+
+
+def test_ubt_names_n_and_d_when_rows_do_not_exceed_dimensions():
+    # The orthant in R^3 is simple and pointed, but c*(3, 3) does not exist.
+    a = faces.Analysis(parse_hrep("3 3\n-1 0 0 0\n0 -1 0 0\n0 0 -1 0"))
+    assert a.simple and a.f_vector == (1, 3, 3, 1)
+    with pytest.raises(ValueError, match=r"^c\*\(n, d\) needs n > d, got n=3 d=3$"):
+        hvector.strengthened_ubt_check(a)
 
 
 def test_ubt_covers_pointed_unbounded():

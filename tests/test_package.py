@@ -3,7 +3,8 @@ double-description kernel: every subcommand runs without the LP code, the
 Fraction linear algebra and a rank routine, which live in the test suite as
 the reference, and the suite itself collects without errors. Face queries
 have one handle, faces.Analysis, over integer generators. A command imports
-only the modules it runs, and none imports dataclasses or inspect."""
+only the modules it runs, and none imports dataclasses or inspect; the
+enumerator and the h comparison load no closed form."""
 
 import functools
 import importlib
@@ -77,8 +78,9 @@ def test_lazy_exports_keep_the_public_surface():
         li2poly.simplex
 
 
-def _imports(argv, cwd) -> tuple[int, set[str]]:
-    """Exit code and imported modules of a command, from -X importtime.
+def _imports(argv, cwd) -> tuple[int, list[str]]:
+    """Exit code and imported modules of a command, in the order their
+    imports finished, from -X importtime.
 
     -S keeps the site's imports out of the list: only the package's count.
     """
@@ -86,41 +88,72 @@ def _imports(argv, cwd) -> tuple[int, set[str]]:
     result = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "li2poly.cli", *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
-    return result.returncode, {line.rsplit("|", 1)[1].strip()
+    return result.returncode, [line.rsplit("|", 1)[1].strip()
                                for line in result.stderr.splitlines()
-                               if line.startswith("import time:")}
+                               if line.startswith("import time:")]
 
 
 def test_commands_import_only_what_they_run(tmp_path):
     small, big = tmp_path / "small.hrep", tmp_path / "big.hrep"
     small.write_text(model.serialize_hrep(constructors.pstar(8, 4)))
     big.write_text(model.serialize_hrep(constructors.dual_cyclic(60, 7)))
-    hv, cons = "li2poly.hvector", "li2poly.constructors"
-    expected = {  # argv -> (exit code, which of hvector and constructors run)
+    hv, cons, fm = "li2poly.hvector", "li2poly.constructors", "li2poly.formulas"
+    expected = {  # argv -> (exit code, which of hvector, constructors, formulas run)
         ("fvector", "--method", "enumerate", "--in", str(small)): (0, set()),
         ("profile", "--in", str(small)): (0, set()),
         ("hvector", "--in", str(big), "--seed", "0"): (3, set()),  # over the cap
         ("fvector", "--method", "enumerate", "--in", str(big)): (3, set()),
-        ("report", "bounds", "--n", "12", "--n-prime", "12", "--d", "6"): (0, set()),
-        ("construct", "pstar", "--n", "8", "--d", "4", "--out", "c"): (0, {cons}),
-        ("fvector", "--method", "formula", "--in", str(small)): (0, {cons}),
         ("hvector", "--in", str(small), "--seed", "0"): (0, {hv}),
-        ("verify", "pstar", "--n", "8", "--d", "4", "--json"): (0, {hv, cons}),
+        ("report", "bounds", "--n", "12", "--n-prime", "12", "--d", "6"): (0, {fm}),
+        ("report", "ratio", "--d", "4", "--k", "0", "--n-start", "8",
+         "--n-end", "12", "--step", "4"): (0, {fm}),
+        ("construct", "pstar", "--n", "8", "--d", "4", "--out", "c"): (0, {cons, fm}),
+        ("fvector", "--method", "formula", "--in", str(small)): (0, {cons, fm}),
+        ("verify", "pstar", "--n", "8", "--d", "4", "--json"): (0, {hv, cons, fm}),
     }
     for argv, (code, runs) in expected.items():
-        exit_code, modules = _imports(argv, tmp_path)
+        exit_code, order = _imports(argv, tmp_path)
+        modules = set(order)
         assert "li2poly.faces" in modules, argv  # the list is read at all
         assert not {"dataclasses", "inspect"} & modules, argv
-        assert (exit_code, modules & {hv, cons}) == (code, runs), argv
+        assert (exit_code, modules & {hv, cons, fm}) == (code, runs), argv
 
 
-def test_importing_the_package_loads_no_module():
+def _loaded(module: str) -> str:
+    """The li2poly modules that importing `module` loads in a fresh -S
+    interpreter, as a printed sorted list."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = ("import sys, li2poly; "
+    code = (f"import sys, {module}; "
             "print(sorted(m for m in sys.modules if m.startswith('li2poly')))")
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
-    assert result.stdout.strip() == "['li2poly']", result.stderr
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_verify_loads_its_modules_before_the_parser(tmp_path):
+    # argparse's first parser imports locale through gettext; cli.run loads
+    # verify's modules before that, which keeps verify's peak RSS down.
+    code, order = _imports(["verify", "pstar", "--n", "8", "--d", "4", "--json"],
+                           tmp_path)
+    assert code == 0
+    assert max(order.index(f"li2poly.{name}") for name in
+               ("constructors", "formulas", "hvector")) < order.index("locale")
+
+
+def test_importing_the_package_loads_no_module():
+    assert _loaded("li2poly") == "['li2poly']"
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("faces", ["li2poly", "li2poly.errors", "li2poly.faces", "li2poly.model"]),
+    ("hvector", ["li2poly", "li2poly.errors", "li2poly.faces", "li2poly.hvector",
+                 "li2poly.model"]),
+], ids=["faces", "hvector"])
+def test_the_enumerator_loads_no_formula(module, loaded):
+    # The work cap and the h comparison read McMullen's h-vector in faces,
+    # not the closed forms the enumeration is checked against.
+    assert _loaded(f"li2poly.{module}") == repr(loaded)
 
 
 def test_suite_collects_without_errors():
