@@ -20,11 +20,12 @@ all of it; bit k of a face is generator k. Holding, for each row, the
 bitset of generators it is tight on, the lattice is closed under AND from
 P itself (Kaibel & Pfetsch 2002), and a face's closed tight set is the set
 of rows whose bitset contains it.
-One pass of n ANDs per face gives the faces, their tight rows and, from
-the lattice order, their dimensions, all as bitsets. After the kernel all
-work is combinatorial: facets are the maximal proper faces among the
-rows' bitsets, and the only other arithmetic is the cone-membership test
-for implicit equalities, one more run of the kernel (see redundant_rows).
+One pass of n ANDs per face gives the faces and their tight rows, as
+bitsets, and from the lattice order their codimensions; it streams them
+and keeps none. After the kernel all work is combinatorial: facets are
+the maximal proper faces among the rows' bitsets, and the only other
+arithmetic is the cone-membership test for implicit equalities, one more
+run of the kernel (see redundant_rows).
 
 Analysis, which carries the work budget, is the one query handle: its
 cached properties and the builders here and in hvector enumerate once.
@@ -46,7 +47,6 @@ DEFAULT_MAX_WORK = 5_000_000
 FVector = tuple[int, ...]
 IntVec = tuple[int, ...]
 Generator = tuple[IntVec, int]
-BitFace = tuple[int, int, int]  # (dim, tight rows, generators), as bitsets
 
 
 def _cleared(entries) -> IntVec:
@@ -228,8 +228,8 @@ class Analysis:
     of everything else, under one numbering: bit k of a face is
     generators[k], and on_row, their transpose, is built once for the
     lattice and the redundancy scan. Every query is read from these
-    bitsets; a vertex stays the integer generator (g, t), the point g/t,
-    and no point is built.
+    bitsets, the face lattice's from one pass that keeps no face; a vertex
+    stays the integer generator (g, t), the point g/t; no point is built.
     """
 
     def __init__(self, p: HPolytope, max_work: int = DEFAULT_MAX_WORK):
@@ -257,19 +257,26 @@ class Analysis:
                    for g, zeros in self.generators if g[-1])
 
     @cached_property
-    def face_bits(self) -> list[BitFace]:
-        return face_lattice(self)
-
-    @cached_property
     def redundant(self) -> frozenset[int]:
         return redundant_rows(self)
 
     @cached_property
+    def _lattice_pass(self) -> tuple[FVector, list[int], int]:
+        """One face_lattice pass: the f-vector (f_k counts codimension top - k,
+        top the vertices'), the two-generator faces and the ridge count."""
+        counts, pairs, ridges = [0] * (self.p.dim + 1), [], 0
+        for codim, tight, face in face_lattice(self):
+            counts[codim] += 1
+            if face.bit_count() == 2:
+                pairs.append(face)
+            if codim == 2:
+                ridges += comb(tight.bit_count(), 2)
+        top = max(c for c, count in enumerate(counts) if count)
+        return tuple(counts[top::-1]) + (0,) * (self.p.dim - top), pairs, ridges
+
+    @cached_property
     def f_vector(self) -> FVector:
-        counts = [0] * (self.p.dim + 1)
-        for dim, _, _ in self.face_bits:
-            counts[dim] += 1
-        f, bound = tuple(counts), face_bound(self.p.n, self.p.dim)
+        f, bound = self._lattice_pass[0], face_bound(self.p.n, self.p.dim)
         if any(fk > bk for fk, bk in zip(f, bound)):  # the enumerator or the bound is wrong
             raise AssertionError(f"f-vector {f} exceeds the Upper Bound Theorem's {bound}")
         return f
@@ -297,11 +304,10 @@ class Analysis:
             raise InputError(
                 f"the polytope is not full-dimensional in R^{self.p.dim}; "
                 "adjacency counts need rows in bijection with facets")
-        return sum(comb(tight.bit_count(), 2)
-                   for dim, tight, _ in self.face_bits if dim == self.p.dim - 2)
+        return self._lattice_pass[2]
 
 
-def face_lattice(a: Analysis) -> list[BitFace]:
+def face_lattice(a: Analysis):
     """Every nonempty face of a feasible pointed polyhedron, P itself included.
 
     A face is held as the bitset of generators on it: bit k is the
@@ -315,34 +321,29 @@ def face_lattice(a: Analysis) -> list[BitFace]:
     new or seen. Each facet of a face F is F AND some row, and a face that
     reaches F without having it as a facet contains a smaller face that
     does. So the last face to reach F, a smallest one, has F as a facet,
-    and F's codimension is one more than that face's. The faces form a
-    graded poset with the vertices at dimension 0, so the vertices'
-    codimension is dim P; no row coefficient is read. Returns
-    (dim, tight rows, generators) triples of bitsets, in visiting order.
+    and F's codimension is one more than that face's; no row coefficient is
+    read. Each size bucket maps its faces to their codimensions; an AND only
+    shrinks a bitset, so no later face reaches a visited bucket, whose
+    codimensions are then final, and it is dropped. Yields (codimension,
+    tight rows, generators) in visiting order, the last two as bitsets; the
+    vertices, at the bottom of the graded poset, have the largest, dim P.
     The analysis supplies the generators and their transpose and applies
-    the cap. This is the function behind Analysis.face_bits: each call
-    builds a new lattice, so read Analysis(p).face_bits.
+    the cap. Each call walks the lattice anew, so read Analysis's queries.
     """
     on_row = a.on_row
     on_vertex = sum(1 << k for k, (g, _) in enumerate(a.generators) if g[-1])
     everything = (1 << len(a.generators)) - 1
-    codim = {everything: 0}
-    by_size = [[] for _ in range(everything.bit_count())] + [[everything]]
-    found = []
-    for same_size in reversed(by_size):
-        for face in same_size:
-            below, tight = codim[face] + 1, 0
+    by_size = [{} for _ in range(everything.bit_count())] + [{everything: 0}]
+    while by_size:
+        for face, codim in by_size.pop().items():
+            below, tight = codim + 1, 0
             for i, bits in enumerate(on_row):
                 sub = face & bits
                 if sub == face:
                     tight |= 1 << i
                 elif sub & on_vertex:
-                    if sub not in codim:
-                        by_size[sub.bit_count()].append(sub)
-                    codim[sub] = below
-            found.append((codim[face], tight, face))
-    top = max(codim.values())
-    return [(top - c, tight, face) for c, tight, face in found]
+                    by_size[sub.bit_count()][sub] = below
+            yield codim, tight, face
 
 
 def _in_cone(v: IntVec, gens: list[IntVec]) -> bool:
@@ -410,14 +411,11 @@ def redundant_rows(a: Analysis) -> frozenset[int]:
 
 
 def edge_graph(a: Analysis) -> list[tuple[int, int]]:
-    """The edges of a bounded polytope, as sorted generator-index pairs:
-    every generator is a vertex. The builder behind Analysis.edge_graph."""
+    """A bounded polytope's edges, its f_1 faces with two generators (all
+    vertices), as sorted index pairs. The builder behind Analysis.edge_graph."""
     if not a.bounded:
         raise UnboundedInputError("edge graph requires a bounded polytope")
-    edges = []
-    for dim, _, face in a.face_bits:
-        if dim == 1:
-            if face.bit_count() != 2:
-                raise AssertionError("bounded 1-face without exactly two vertices")
-            edges.append(tuple(_bits(face)))
-    return sorted(edges)
+    pairs = a._lattice_pass[1]
+    if len(pairs) != a.f_vector[1]:
+        raise AssertionError("bounded 1-face without exactly two vertices")
+    return sorted(tuple(_bits(face)) for face in pairs)

@@ -109,6 +109,15 @@ def cached_f_vector(family: str, n: int, d: int) -> tuple[int, ...]:
     return cached_analysis(family, n, d).f_vector
 
 
+def collect_lattice(a: faces.Analysis) -> list[tuple[int, int, int]]:
+    """The whole face lattice, which the package streams and never keeps, as
+    sorted (dim, tight rows, generators) triples: dim = top - codim, where
+    top, the largest codimension, is the vertices'."""
+    found = list(faces.face_lattice(a))
+    top = max(codim for codim, _, _ in found)
+    return sorted((top - codim, tight, face) for codim, tight, face in found)
+
+
 def permuted(p: HPolytope, order) -> HPolytope:
     """p with its rows in the given order; family metadata is dropped."""
     return HPolytope(p.dim, tuple(p.constraints[i] for i in order))

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import square_pyramid
+from conftest import collect_lattice, square_pyramid
 from li2poly import constructors, faces, hvector, model
 from li2poly.cli import run
 from li2poly.errors import (CapExceededError, InfeasibleError, LI2PolyError,
@@ -53,11 +53,17 @@ def test_commands_build_each_result_once_and_run_no_program(monkeypatch, capsys,
                                                             tmp_path, argv):
     if argv[0] == "fvector":
         argv = argv + [_write(tmp_path, constructors.pstar(9, 5))]
-    counts = _count_calls(monkeypatch, WORKERS)
+    counts = _count_calls(monkeypatch, WORKERS + (faces.edge_graph,
+                                                  hvector.strengthened_ubt_check))
     assert run(argv) == 0
     capsys.readouterr()
+    # A bounded verify reads the f-vector, the edges and the UBT check, all
+    # from the one streamed lattice pass.
+    reads = int(argv[0] == "verify")
     assert counts == {"li2poly.faces.face_lattice": 1,
-                      "li2poly.faces.enumerate_vertices": 1}
+                      "li2poly.faces.enumerate_vertices": 1,
+                      "li2poly.faces.edge_graph": reads,
+                      "li2poly.hvector.strengthened_ubt_check": reads}
     assert not any(name in sys.modules for name in LP_MODULES)
 
 
@@ -85,7 +91,7 @@ def test_lattice_and_redundancy_scan_share_one_transpose(monkeypatch):
     analysis = faces.Analysis(constructors.dual_cyclic(8, 4))
     analysis.generators  # the kernel transposes its intermediate zero sets
     counts = _count_calls(monkeypatch, (faces._transpose,))
-    analysis.face_bits
+    collect_lattice(analysis)
     assert analysis.redundant == frozenset()
     assert counts == {"li2poly.faces._transpose": 1}
 

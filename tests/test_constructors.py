@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import collect_lattice
 from li2poly import constructors, faces, model
 from li2poly.cli import run
 from li2poly.errors import DivisibilityError
@@ -169,7 +170,7 @@ def test_constructors_full_dimensional():
     for p in (constructors.pstar(8, 4), constructors.pstar(9, 5),
               constructors.dual_cyclic(7, 3), constructors.prism3(6),
               constructors.convex_polygon(6)):
-        assert max(faces.Analysis(p).face_bits)[0] == p.dim
+        assert max(collect_lattice(faces.Analysis(p)))[0] == p.dim
 
 
 def test_from_family_round_trip():
@@ -198,6 +199,7 @@ def test_odd_pstar_every_row_supports_a_facet():
     # Nonredundancy for the unbounded odd case (the LP-based scan requires
     # boundedness): every row must appear alone as a facet tight set.
     p = constructors.pstar(7, 3)
-    facet_rows = {tight.bit_length() - 1 for dim, tight, _ in faces.Analysis(p).face_bits
+    facet_rows = {tight.bit_length() - 1
+                  for dim, tight, _ in collect_lattice(faces.Analysis(p))
                   if dim == p.dim - 1 and tight.bit_count() == 1}
     assert facet_rows == set(range(p.n))

@@ -14,7 +14,8 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import RANDOM, cached_instance, permuted, two_variable_systems
+from conftest import (RANDOM, cached_instance, collect_lattice, permuted,
+                      two_variable_systems)
 from dd_reference import _incidence, reference_faces, reference_vertices
 from li2poly import faces
 from li2poly.errors import LI2PolyError, NonPointedError
@@ -32,7 +33,7 @@ def _outcome(build, p):
 def _check_bits(p):
     a = faces.Analysis(p, max_work=10 ** 9)
     assert _outcome(lambda _: a.generators, p) == _outcome(reference_vertices, p)
-    assert sorted(a.face_bits) == sorted(
+    assert collect_lattice(a) == sorted(
         (dim, sum(1 << i for i in tight), face)
         for face, (dim, tight) in reference_faces(a).items())
 

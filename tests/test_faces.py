@@ -7,8 +7,8 @@ from hypothesis import given
 
 import fraction_linalg
 from fraction_linalg import vertex_points
-from conftest import (RANDOM, cached_f_vector, permuted, square_pyramid,
-                      two_variable_systems, unit_square)
+from conftest import (RANDOM, cached_f_vector, collect_lattice, permuted,
+                      square_pyramid, two_variable_systems, unit_square)
 from li2poly import constructors, faces, formulas, hvector
 from li2poly.errors import (CapExceededError, InputError, NonPointedError,
                             RedundantInputError, UnboundedInputError)
@@ -40,7 +40,7 @@ DIM_CASES = {"square": unit_square,
 def _check_face_dims(p):
     # The lattice reads each dimension from its order; a face's dimension
     # is also d minus the rank of the rows tight on it.
-    for dim, tight, _ in faces.Analysis(p).face_bits:
+    for dim, tight, _ in collect_lattice(faces.Analysis(p)):
         rows = [c.coeffs for i, c in enumerate(p.constraints) if tight >> i & 1]
         assert dim == p.dim - fraction_linalg.rank(fraction_linalg.mat(rows))
 
@@ -85,7 +85,7 @@ def test_unbounded_faces_have_no_vertex_ids():
     rays = sum(1 << k for k, (g, _) in enumerate(analysis.generators) if not g[-1])
     xlast_row = next(i for i, c in enumerate(p.constraints)
                      if c.label == "xlast_lo")
-    for _, tight, face in analysis.face_bits:
+    for _, tight, face in collect_lattice(analysis):
         if tight >> xlast_row & 1:
             assert not face & rays
         else:
@@ -264,7 +264,7 @@ def test_face_counts_within_upper_bound_on_unbounded_inputs(make):
 def test_duplicate_rows_do_not_change_face_counts(square):
     dup = HPolytope(2, square.constraints + (square.constraints[0],))
     assert faces.Analysis(dup).f_vector == (4, 4, 1)
-    right_edge = next(tight for dim, tight, _ in faces.Analysis(dup).face_bits
+    right_edge = next(tight for dim, tight, _ in collect_lattice(faces.Analysis(dup))
                       if dim == 1 and tight & 1)
     assert right_edge == 1 << 0 | 1 << 4  # both copies tight
 
@@ -273,7 +273,7 @@ def test_lower_dimensional_polytope():
     # The segment x = 1, 0 <= y <= 1 in the plane: implicit equality rows.
     p = parse_hrep("4 2\n1 0 1\n-1 0 -1\n0 1 1\n0 -1 0")
     assert faces.Analysis(p).f_vector == (2, 1, 0)
-    dim, tight, _ = max(faces.Analysis(p).face_bits)
+    dim, tight, _ = max(collect_lattice(faces.Analysis(p)))
     assert dim == 1 and tight == 1 << 0 | 1 << 1
 
 
@@ -282,7 +282,7 @@ def test_product_structure_total_face_count():
     # factors' lattices minus the doubled top, so the total face count is
     # the square of the polygon's (13 for a hexagon: 6 + 6 + 1).
     analysis = faces.Analysis(constructors.pstar(12, 4))
-    assert len(analysis.face_bits) == 13 * 13
+    assert len(collect_lattice(analysis)) == 13 * 13
     assert analysis.f_vector == (36, 72, 48, 12, 1)
 
 

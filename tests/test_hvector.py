@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (RANDOM, cached_analysis, cached_f_vector, simplex3,
-                      square_pyramid, two_variable_systems, unit_square)
+from conftest import (RANDOM, cached_analysis, cached_f_vector, collect_lattice,
+                      simplex3, square_pyramid, two_variable_systems,
+                      unit_square)
 from li2poly import constructors, faces, hvector
 from li2poly.errors import GenericObjectiveError, NotSimpleError
 from li2poly.model import parse_hrep
@@ -151,7 +152,7 @@ def test_unique_source_and_sink_per_face():
         analysis = faces.Analysis(p)
         vertices = [g for g, _ in analysis.generators]
         directed = hvector.orient_edges(vertices, analysis.edge_graph, seed=11)
-        for dim, tight, face in analysis.face_bits:
+        for dim, tight, face in collect_lattice(analysis):
             if dim < 1:
                 continue
             # Bounded, so face bit k is vertex k of the edge graph.

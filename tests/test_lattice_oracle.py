@@ -17,7 +17,7 @@ unbounded instances only.
 import pytest
 from hypothesis import given
 
-from conftest import RANDOM, square_pyramid, two_variable_systems
+from conftest import RANDOM, collect_lattice, square_pyramid, two_variable_systems
 from fraction_linalg import vertex_points
 from li2poly import constructors, faces
 from li2poly.model import HPolytope, parse_hrep
@@ -48,7 +48,7 @@ def _lattice(p: HPolytope):
         return frozenset(k for k in range(count) if bits >> k & 1)
 
     lattice = []
-    for dim, tight, face in a.face_bits:
+    for dim, tight, face in collect_lattice(a):
         points = [point[k] for k in members(face, len(point))]
         lattice.append((members(tight, p.n), dim,
                         None if None in points else frozenset(points)))

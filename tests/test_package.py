@@ -60,6 +60,7 @@ def test_queries_have_one_handle_over_integer_generators():
         assert name not in li2poly.__all__ and not hasattr(li2poly, name), name
     assert isinstance(faces.Analysis.facet_adjacency_count, functools.cached_property)
     assert not hasattr(faces.Analysis, "vertices")
+    assert not hasattr(faces.Analysis, "face_bits") and not hasattr(faces, "BitFace")
     assert not hasattr(model, "dot")
     assert not hasattr(hvector, "Fraction") and not hasattr(hvector, "_draw_objective")
 
