@@ -8,9 +8,9 @@ two-variable family once n is large; at the smallest parameters, where
 every polygon factor is a triangle, the counts coincide exactly.
 """
 
-from li2poly import Analysis, dual_cyclic, lemma41_bound, pstar, ratio_report
-from li2poly.formulas import (fk_dual_cyclic, fk_pstar,
-                              separation_bound_reports, two_variable_deficit)
+from li2poly import (Analysis, dual_cyclic, lemma41_bound, pstar, ratio_report,
+                     thm42_bound)
+from li2poly.formulas import fk_dual_cyclic, fk_pstar, two_variable_deficit
 
 print("vertex-count ratios at d=4 against the e^2 envelope:")
 for row in ratio_report(4, range(8, 41, 4), 0):
@@ -28,8 +28,8 @@ print()
 
 print("per-k separation bounds at n=60, n'=60, d=4 (deficit "
       f"{two_variable_deficit(60, 4)}):")
-for r in separation_bound_reports(60, 60, 4):
-    print(f"  {r.quantity}: f_k <= {r.formula_value}")
+for k in range(3):
+    print(f"  f_{k}_bound: f_k <= {thm42_bound(60, 60, 4, k)}")
 print()
 
 print("the smallest instances are the exception: triangle factors give")

@@ -17,7 +17,7 @@ _HOME = {
     "convex_polygon": "constructors", "pstar": "constructors",
     "dual_cyclic": "constructors", "prism3": "constructors",
     "enumerate_vertices": "faces", "face_lattice": "faces", "edge_graph": "faces",
-    "h_from_f": "hvector", "f_from_h": "hvector",
+    "h_from_f": "hvector", "f_from_h": "faces",
     "indegree_hvector": "hvector", "strengthened_ubt_check": "hvector",
     "fk_dual_cyclic": "formulas", "fk_pstar": "formulas",
     "lemma41_bound": "formulas",

@@ -32,6 +32,7 @@ SCHEMA_VERSION = 1
 VERIFY_SEEDS = (0, 1, 2)
 CHECK_NAMES = ("oracle_match", "euler", "h_independence", "ubt",
                "lemma41", "thm42_strict")
+VACUOUS_RIDGE = "vacuous: bound is at least C(n,2)"
 
 
 def _emit(doc: dict) -> None:
@@ -198,16 +199,15 @@ def cmd_verify(args) -> int:
     timing["hvector"] = stage()
 
     stage = _timer()
-    checks["ubt"] = hvector.strengthened_ubt_check(analysis).satisfied
+    checks["ubt"] = hvector.strengthened_ubt_check(analysis)
     timing["ubt"] = stage()
 
     stage = _timer()
     if profile.is_li2 and d >= 4 and bounded:
-        ridge = formulas.ridge_bound_report(n, profile.n_prime, d,
-                                            observed=f_enum[d - 2])
-        checks["lemma41"] = ridge.satisfied
-        if ridge.note:
-            notes.append(f"lemma41: {ridge.note}")
+        ridge = formulas.lemma41_bound(n, profile.n_prime, d)
+        checks["lemma41"] = f_enum[d - 2] <= ridge
+        if ridge >= formulas.binom(n, 2):
+            notes.append(f"lemma41: {VACUOUS_RIDGE}")
         checks["thm42_strict"] = all(
             f_enum[k] < formulas.fk_dual_cyclic(n, d, k) for k in range(d - 1))
     else:
@@ -332,26 +332,26 @@ def cmd_report_ratio(args) -> int:
 def cmd_report_bounds(args) -> int:
     from . import formulas
     n, np_, d = args.n, args.n_prime, args.d
-    ridge = formulas.ridge_bound_report(n, np_, d)  # validates d >= 4 first
+    ridge = formulas.lemma41_bound(n, np_, d)  # validates d >= 4 first
+    count_max = formulas.binom(n, 2)
     deficit = formulas.two_variable_deficit(np_, d)
-    separation = formulas.separation_bound_reports(n, np_, d)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "report-bounds",
         "n": n,
         "n_prime": np_,
         "d": d,
-        "ridge_bound": str(ridge.formula_value),
-        "ridge_note": ridge.note,
-        "ridge_count_max": formulas.binom(n, 2),
+        "ridge_bound": str(ridge),
+        "ridge_note": VACUOUS_RIDGE if ridge >= count_max else "",
+        "ridge_count_max": count_max,
         "deficit": str(deficit),
         "deficit_vacuous": deficit <= 0,
         "per_k": [{
             "k": k,
             "f_dual_cyclic": formulas.fk_dual_cyclic(n, d, k),
-            "bound_proof_chain": str(row.formula_value),
+            "bound_proof_chain": str(formulas.thm42_bound(n, np_, d, k)),
             "bound_literal": str(formulas.thm42_bound_literal(n, np_, d, k)),
-        } for k, row in enumerate(separation)],
+        } for k in range(d - 1)],
     }
     _emit(doc)
     return 0

@@ -63,8 +63,7 @@ def _polygon_edges(m: int) -> list[tuple[Vec, Fraction]]:
 
 def convex_polygon(m: int) -> HPolytope:
     """A convex m-gon in the plane: m constraints, m vertices, origin inside."""
-    constraints = tuple(
-        Constraint(a, b, label=f"e{j}") for j, (a, b) in enumerate(_polygon_edges(m)))
+    constraints = tuple(Constraint(a, b) for a, b in _polygon_edges(m))
     return HPolytope(2, constraints, FamilyTag("polygon", m, 2))
 
 
@@ -76,16 +75,17 @@ def pstar(n: int, d: int) -> HPolytope:
     touches two variables. Odd d applies the even construction to the first
     d-1 coordinates with n-1 rows and adds the single half-space x_d >= 0;
     the result is a pointed but unbounded polyhedron, kept verbatim rather
-    than capped.
+    than capped. With m the polygon size, row i*m + j is edge j (vertex j
+    to j+1) of polygon i, on x_{2i+1} and x_{2i+2}; for odd d the last row
+    is x_d >= 0.
     """
     edges = _polygon_edges(formulas.pstar_polygon_size(n, d))
-    rows = [Constraint((ZERO,) * (2 * i) + a + (ZERO,) * (d - 2 * i - 2), b,
-                       label=f"p{i}e{j}")
-            for i in range(d // 2) for j, (a, b) in enumerate(edges)]
+    rows = [Constraint((ZERO,) * (2 * i) + a + (ZERO,) * (d - 2 * i - 2), b)
+            for i in range(d // 2) for a, b in edges]
     if d % 2:
         last = [ZERO] * d
         last[d - 1] = -ONE
-        rows.append(Constraint(tuple(last), ZERO, label="xlast_lo"))
+        rows.append(Constraint(tuple(last), ZERO))
     return HPolytope(d, tuple(rows), FamilyTag("pstar", n, d))
 
 
@@ -105,9 +105,9 @@ def dual_cyclic(n: int, d: int) -> HPolytope:
     points = [tuple(Fraction(t ** j) for j in range(1, d + 1)) for t in range(1, n + 1)]
     centroid = tuple(sum(p[j] for p in points) / n for j in range(d))
     rows = []
-    for i, p in enumerate(points):
+    for p in points:
         coeffs = tuple(p[j] - centroid[j] for j in range(d))
-        rows.append(Constraint(coeffs, ONE, label=f"t{i + 1}"))
+        rows.append(Constraint(coeffs, ONE))
     return HPolytope(d, tuple(rows), FamilyTag("dualcyclic", n, d))
 
 
@@ -120,10 +120,10 @@ def prism3(n: int) -> HPolytope:
     if n < 5:
         raise ValueError(f"n = {n}: the prism needs at least 5 constraints")
     rows = []
-    for j, (a, b) in enumerate(_polygon_edges(n - 2)):
-        rows.append(Constraint((a[0], a[1], ZERO), b, label=f"e{j}"))
-    rows.append(Constraint((ZERO, ZERO, -ONE), ZERO, label="z_lo"))
-    rows.append(Constraint((ZERO, ZERO, ONE), ONE, label="z_hi"))
+    for a, b in _polygon_edges(n - 2):
+        rows.append(Constraint((a[0], a[1], ZERO), b))
+    rows.append(Constraint((ZERO, ZERO, -ONE), ZERO))
+    rows.append(Constraint((ZERO, ZERO, ONE), ONE))
     return HPolytope(3, tuple(rows), FamilyTag("prism3", n, 3))
 
 

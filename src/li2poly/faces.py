@@ -179,6 +179,13 @@ def dual_cyclic_h(n: int, d: int) -> tuple[int, ...]:
     return tuple(comb(n - d - 1 + min(i, d - i), min(i, d - i)) for i in range(d + 1))
 
 
+def f_from_h(h: tuple[int, ...]) -> FVector:
+    """f_k = sum_{r>=k} C(r,k) h_r: every k-face has a unique sink."""
+    d = len(h) - 1
+    return tuple(
+        sum(comb(r, k) * h[r] for r in range(k, d + 1)) for k in range(d + 1))
+
+
 def face_bound(n: int, d: int) -> FVector:
     """f_k(c*(max(n, d) + 1, d)) for k = 0..d: at most that many k-faces.
 
@@ -188,11 +195,9 @@ def face_bound(n: int, d: int) -> FVector:
     one spends d - j rows on its affine hull, and d - j pyramids, each with
     f_k(c*(m, j)) <= f_k(c*(m + 1, j + 1)), carry its bound to the same one;
     for n < d, which has lines, the max only keeps c* defined. The counts
-    are f_k = sum_i C(i, k) h_i over dual_cyclic_h: every k-face has one
-    sink under a generic objective.
+    are f_from_h of dual_cyclic_h.
     """
-    h = dual_cyclic_h(max(n, d) + 1, d)
-    return tuple(sum(comb(i, k) * hi for i, hi in enumerate(h)) for k in range(d + 1))
+    return f_from_h(dual_cyclic_h(max(n, d) + 1, d))
 
 
 def check_caps(n: int, d: int, max_work: int = DEFAULT_MAX_WORK) -> None:

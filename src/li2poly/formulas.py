@@ -178,41 +178,6 @@ def thm42_bound_literal(n: int, n_prime: int, d: int, k: int) -> Fraction:
     return fk_dual_cyclic(n, d, k) - binom(d - 2, k) * inner
 
 
-class BoundReport(NamedTuple):
-    """One checked bound: exact formula value vs. an optional observed count."""
-    quantity: str
-    formula_value: Fraction
-    oracle_value: int | None
-    satisfied: bool
-    note: str = ""
-
-
-def ridge_bound_report(n: int, n_prime: int, d: int,
-                       observed: int | None = None) -> BoundReport:
-    """The ridge-count bound as a report row, checked against an observed count."""
-    value = lemma41_bound(n, n_prime, d)
-    satisfied = observed is None or Fraction(observed) <= value
-    note = "vacuous: bound is at least C(n,2)" if value >= binom(n, 2) else ""
-    return BoundReport("ridge_count_bound", value, observed, satisfied, note)
-
-
-def separation_bound_reports(n: int, n_prime: int, d: int,
-                             observed_f=None) -> list[BoundReport]:
-    """Per-k separation bounds (proof-chain deficit) as report rows.
-
-    observed_f, when given, supplies enumerated face counts indexed by k.
-    """
-    deficit = two_variable_deficit(n_prime, d)
-    note = "vacuous for small n': deficit <= 0" if deficit <= 0 else ""
-    reports = []
-    for k in range(d - 1):
-        value = thm42_bound(n, n_prime, d, k)
-        observed = None if observed_f is None else observed_f[k]
-        satisfied = observed is None or Fraction(observed) <= value
-        reports.append(BoundReport(f"f_{k}_bound", value, observed, satisfied, note))
-    return reports
-
-
 class RatioRow(NamedTuple):
     """One row of the dual-cyclic-to-paired-polygon face-count ratio sweep."""
     n: int

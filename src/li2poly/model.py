@@ -11,7 +11,8 @@ round-trips. The text format is deliberately plain:
 
 Points and coefficient vectors are tuples of Fraction (Vec), so every
 comparison is exact. The records are named tuples, immutable after
-construction; Constraint's equality and hash ignore its label.
+construction and compared and hashed by value. A Constraint carries no
+name: a row is known by its index.
 """
 
 from __future__ import annotations
@@ -45,19 +46,9 @@ class FamilyTag(NamedTuple):
 
 
 class Constraint(NamedTuple):
-    """One inequality coeffs.x <= rhs; the label is not part of its value."""
+    """One inequality coeffs.x <= rhs."""
     coeffs: Vec
     rhs: Fraction
-    label: str | None = None
-
-    def __eq__(self, other):
-        return isinstance(other, Constraint) and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
 
 
 class _HPolytope(NamedTuple):

@@ -70,8 +70,8 @@ def test_criterion_4_h_machinery():
     for _ in range(1000):
         v = tuple(rng.randrange(0, 10 ** 6)
                   for _ in range(rng.randrange(1, 9)))
-        ok &= hvector.h_from_f(hvector.f_from_h(v)) == v
-        ok &= hvector.f_from_h(hvector.h_from_f(v)) == v
+        ok &= hvector.h_from_f(faces.f_from_h(v)) == v
+        ok &= faces.f_from_h(hvector.h_from_f(v)) == v
     p = cached_analysis("pstar", 12, 6)
     expected = (1, 6, 15, 20, 15, 6, 1)
     for seed in (0, 1, 2):

@@ -193,7 +193,7 @@ def test_simple_reads_vertices_on_pointed_unbounded_inputs():
     # in the h comparison; the pyramid's cone has its apex on 4 rows in R^3.
     a = faces.Analysis(constructors.pstar(9, 5))
     assert not a.bounded and a.simple
-    assert hvector.strengthened_ubt_check(a).satisfied
+    assert hvector.strengthened_ubt_check(a) is True
     cone = faces.Analysis(model.HPolytope(3, square_pyramid().constraints[1:]))
     assert not cone.bounded and not cone.simple
 

@@ -164,6 +164,14 @@ def test_verify_unbounded_odd_instance(capsys):
     assert any("unbounded" in note for note in doc["notes"])
 
 
+def test_verify_notes_a_vacuous_ridge_bound(capsys):
+    # pstar(8,4)'s ridge bound 94/3 exceeds C(8,2) = 28.
+    code, doc = run_json(capsys, ["verify", "pstar", "--n", "8", "--d", "4",
+                                  "--json", "--no-timing"])
+    assert code == 0 and doc["checks"]["lemma41"] is True
+    assert doc["notes"] == ["lemma41: vacuous: bound is at least C(n,2)"]
+
+
 def test_verify_human_readable(capsys):
     assert run(["verify", "prism3", "--n", "6", "--no-timing"]) == 0
     out = capsys.readouterr().out
@@ -321,6 +329,8 @@ def test_report_bounds(capsys):
                                   "--n-prime", "12", "--d", "6"])
     assert code == 0
     assert doc["ridge_bound"] == "368/5"
+    assert doc["ridge_note"] == "vacuous: bound is at least C(n,2)"
+    assert doc["ridge_count_max"] == 66
     assert doc["deficit_vacuous"] is True
     per_k = {row["k"]: row for row in doc["per_k"]}
     assert per_k[4]["f_dual_cyclic"] == 66
@@ -331,6 +341,22 @@ def test_report_bounds(capsys):
     per_k = {row["k"]: row for row in doc["per_k"]}
     assert per_k[2]["bound_proof_chain"] == "1535"
     assert per_k[2]["bound_literal"] == "1415"
+    code, doc = run_json(capsys, ["report", "bounds", "--n", "14",
+                                  "--n-prime", "14", "--d", "4"])
+    assert (doc["ridge_bound"], doc["ridge_note"]) == ("539/6", "")
+    assert doc["ridge_count_max"] == 91
+
+
+@pytest.mark.parametrize("n, n_prime, message", [
+    (3, 0, "need 0 <= k <= d < n, got n=3 d=4 k=0"),
+    (12, 13, "need 0 <= n_prime <= n"),
+])
+def test_report_bounds_out_of_range_exits_3(capsys, n, n_prime, message):
+    assert run(["report", "bounds", "--n", str(n), "--n-prime", str(n_prime),
+                "--d", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])

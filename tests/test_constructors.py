@@ -29,9 +29,9 @@ def test_polygon_each_edge_tight_on_two_vertices():
         assert sum(1 for _, tight in vertices if tight >> i & 1) == 2
     for m in range(3, 61):
         points = constructors.polygon_vertices(m)
-        for c in constructors.convex_polygon(m).constraints:
+        for j, c in enumerate(constructors.convex_polygon(m).constraints):
             slacks = [slack(c, v) for v in points]
-            assert min(slacks) == 0 and slacks.count(0) == 2, (m, c.label)
+            assert min(slacks) == 0 and slacks.count(0) == 2, (m, j)
 
 
 ORDERS = {"reversed": lambda v: v[::-1],
@@ -106,17 +106,17 @@ def test_pstar_even_is_simple():
 
 def test_pstar_vertices_take_consecutive_pairs_per_polygon():
     # Each vertex is tight on exactly one cyclically consecutive edge pair
-    # per polygon, and every such combination occurs.
+    # per polygon, and every such combination occurs. Row i*m + j is edge j
+    # of polygon i.
     n, d = 12, 6
     m, half = n // (d // 2), d // 2
     p = constructors.pstar(n, d)
     combos = set()
     for _, tight in vertex_points(faces.Analysis(p).generators):
-        labels = sorted(c.label for i, c in enumerate(p.constraints) if tight >> i & 1)
+        rows = [r for r in range(p.n) if tight >> r & 1]
         per_pair = []
         for i in range(half):
-            edges = sorted(int(l.split("e")[1]) for l in labels
-                           if l.startswith(f"p{i}e"))
+            edges = sorted(r - i * m for r in rows if r // m == i)
             assert len(edges) == 2
             j, jj = edges
             assert (jj - j) % m in (1, m - 1), (i, edges)

@@ -1,5 +1,6 @@
-"""Every demo runs to completion as a script and prints something, and
-every python example of README.md runs as written."""
+"""Every demo runs to completion as a script and prints something, the
+lines demos print from their checks stay as they are, and every python
+example of README.md runs as written."""
 
 import os
 import re
@@ -15,6 +16,19 @@ README_EXAMPLES = re.findall(r"^```python\n(.*?)^```$",
                              (ROOT / "README.md").read_text(encoding="utf-8"),
                              re.M | re.S)
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+# Lines a demo prints from its checks, each block verbatim.
+DEMO_LINES = {
+    "03_orientation_histograms": (
+        "componentwise comparison against the dual cyclic histogram:\n"
+        "  h_0: 1 = 1\n  h_1: 4 = 4\n  h_2: 6 < 10\n  h_3: 4 = 4\n  h_4: 1 = 1\n"
+        "  satisfied: True\n",
+        "the prism attains the d=3 histogram exactly:\n"
+        "  h_0: 1 vs 1\n  h_1: 5 vs 5\n  h_2: 5 vs 5\n  h_3: 1 vs 1\n"),
+    "04_separation_bounds": (
+        "per-k separation bounds at n=60, n'=60, d=4 (deficit 235):\n"
+        "  f_0_bound: f_k <= 1475\n  f_1_bound: f_k <= 2950\n"
+        "  f_2_bound: f_k <= 1535\n",),
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -23,6 +37,8 @@ def test_demo_runs(demo):
                             text=True, env=ENV, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    for block in DEMO_LINES.get(demo.stem, ()):
+        assert block in result.stdout
 
 
 @pytest.mark.parametrize("example", README_EXAMPLES,

@@ -83,8 +83,8 @@ def test_unbounded_faces_have_no_vertex_ids():
     p = constructors.pstar(7, 3)
     analysis = faces.Analysis(p)
     rays = sum(1 << k for k, (g, _) in enumerate(analysis.generators) if not g[-1])
-    xlast_row = next(i for i, c in enumerate(p.constraints)
-                     if c.label == "xlast_lo")
+    xlast_row = p.n - 1  # odd d: the last row is x_d >= 0
+    assert p.constraints[xlast_row] == ((0, 0, -1), 0)
     for _, tight, face in collect_lattice(analysis):
         if tight >> xlast_row & 1:
             assert not face & rays

@@ -251,21 +251,17 @@ def test_face_count_separation_on_grid_with_known_equalities():
 
 
 def test_bound_reports():
-    ridge = formulas.ridge_bound_report(12, 12, 6, observed=60)
-    assert ridge.formula_value == F(368, 5)
-    assert ridge.satisfied and ridge.oracle_value == 60
-    assert "vacuous" in ridge.note  # 368/5 exceeds C(12,2) = 66
+    ridge = formulas.lemma41_bound(12, 12, 6)
+    assert ridge == F(368, 5)
+    assert 60 <= ridge  # pstar(12,6) has 60 ridges
+    assert ridge >= formulas.binom(12, 2)  # vacuous: 368/5 exceeds C(12,2) = 66
 
-    informative = formulas.ridge_bound_report(14, 14, 4)
-    assert informative.formula_value < formulas.binom(14, 2)
-    assert informative.note == ""
+    assert formulas.lemma41_bound(14, 14, 4) < formulas.binom(14, 2)
 
-    rows = formulas.separation_bound_reports(12, 12, 6,
-                                             observed_f=(64, 192, 240, 160, 60))
-    assert len(rows) == 5
-    assert all(r.satisfied for r in rows)
-    assert all("vacuous" in r.note for r in rows)  # deficit negative at n'=12
+    observed = (64, 192, 240, 160, 60)
+    assert all(f <= formulas.thm42_bound(12, 12, 6, k) for k, f in enumerate(observed))
+    with pytest.raises(ValueError, match="applies for k <= d-2"):
+        formulas.thm42_bound(12, 12, 6, len(observed))
+    assert formulas.two_variable_deficit(12, 6) <= 0  # vacuous: negative at n'=12
 
-    strict_rows = formulas.separation_bound_reports(60, 60, 4)
-    assert all(r.oracle_value is None and r.satisfied for r in strict_rows)
-    assert strict_rows[2].formula_value == 1535
+    assert formulas.thm42_bound(60, 60, 4, 2) == 1535

@@ -33,11 +33,11 @@ def test_h_from_f_point_identity():
 
 
 def test_f_from_h_simplex():
-    assert hvector.f_from_h((1, 1, 1, 1)) == (4, 6, 4, 1)
+    assert faces.f_from_h((1, 1, 1, 1)) == (4, 6, 4, 1)
 
 
 def test_f_from_h_recovers_counts():
-    f = hvector.f_from_h((1, 6, 15, 20, 15, 6, 1))
+    f = faces.f_from_h((1, 6, 15, 20, 15, 6, 1))
     assert f[0] == 64 and f[5] == 12
 
 
@@ -45,8 +45,8 @@ def test_f_from_h_recovers_counts():
 @given(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=9))
 def test_transforms_are_mutually_inverse(v):
     v = tuple(v)
-    assert hvector.f_from_h(hvector.h_from_f(v)) == v
-    assert hvector.h_from_f(hvector.f_from_h(v)) == v
+    assert faces.f_from_h(hvector.h_from_f(v)) == v
+    assert hvector.h_from_f(faces.f_from_h(v)) == v
 
 
 def test_indegree_pentagon():
@@ -174,23 +174,30 @@ def test_dehn_sommerville_symmetry():
 
 
 def test_ubt_pstar_12_6_componentwise():
-    report = hvector.strengthened_ubt_check(cached_analysis("pstar", 12, 6))
-    assert report.satisfied
-    assert tuple(e.h_value for e in report.entries) == (1, 6, 15, 20, 15, 6, 1)
-    assert tuple(e.h_dual_cyclic for e in report.entries) == (1, 6, 21, 56, 21, 6, 1)
+    a = cached_analysis("pstar", 12, 6)
+    assert hvector.strengthened_ubt_check(a) is True
+    assert hvector.h_from_f(a.f_vector) == (1, 6, 15, 20, 15, 6, 1)
+    assert faces.dual_cyclic_h(12, 6) == (1, 6, 21, 56, 21, 6, 1)
+
+
+def test_ubt_fails_when_one_entry_exceeds(monkeypatch):
+    # h_3 = 20 of pstar(12,6) against a right side one below it there.
+    a = cached_analysis("pstar", 12, 6)
+    monkeypatch.setattr(hvector, "dual_cyclic_h",
+                        lambda n, d: (1, 6, 21, 19, 21, 6, 1))
+    assert hvector.strengthened_ubt_check(a) is False
 
 
 def test_ubt_dual_cyclic_self_equality():
-    report = hvector.strengthened_ubt_check(faces.Analysis(constructors.dual_cyclic(8, 4)))
-    assert report.satisfied
-    assert all(e.h_value == e.h_dual_cyclic for e in report.entries)
+    a = faces.Analysis(constructors.dual_cyclic(8, 4))
+    assert hvector.strengthened_ubt_check(a) is True
+    assert hvector.h_from_f(a.f_vector) == faces.dual_cyclic_h(8, 4)
 
 
 def test_ubt_prism_attains_d3_bound():
-    report = hvector.strengthened_ubt_check(faces.Analysis(constructors.prism3(8)))
-    assert report.satisfied
-    assert all(e.h_value == e.h_dual_cyclic for e in report.entries)
-    assert tuple(e.h_value for e in report.entries) == (1, 5, 5, 1)
+    a = faces.Analysis(constructors.prism3(8))
+    assert hvector.strengthened_ubt_check(a) is True
+    assert hvector.h_from_f(a.f_vector) == faces.dual_cyclic_h(8, 3) == (1, 5, 5, 1)
 
 
 def test_ubt_rejects_non_simple():
@@ -207,6 +214,6 @@ def test_ubt_names_n_and_d_when_rows_do_not_exceed_dimensions():
 
 
 def test_ubt_covers_pointed_unbounded():
-    report = hvector.strengthened_ubt_check(faces.Analysis(constructors.pstar(7, 3)))
-    assert report.satisfied
-    assert tuple(e.h_value for e in report.entries) == (0, 1, 4, 1)
+    a = faces.Analysis(constructors.pstar(7, 3))
+    assert hvector.strengthened_ubt_check(a) is True
+    assert hvector.h_from_f(a.f_vector) == (0, 1, 4, 1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import permuted
-from li2poly import constructors, formulas, hvector
+from li2poly import constructors, formulas
 from li2poly.errors import HRepParseError
 from li2poly.model import (Constraint, FamilyTag, HPolytope, LI2Profile,
                            li2_profile, parse_hrep, serialize_hrep)
@@ -170,12 +170,10 @@ def test_parse_rejects_non_ascii_digits(name):
 
 def test_constraint_and_polytope_values_ignore_labels():
     one, two = Fraction(1), Fraction(2)
-    a = Constraint((one, two), one, "a")
-    b = Constraint((one, two), one, label="b")
+    a = Constraint((one, two), one)
+    b = Constraint(coeffs=(one, two), rhs=one)
     assert a == b and not a != b and hash(a) == hash(b)
-    assert a != Constraint((one, two), two, "a") and a != Constraint((two, one), one)
-    assert a != (a.coeffs, a.rhs, a.label)  # a record, not any equal tuple
-    assert Constraint((one,), one).label is None
+    assert a != Constraint((one, two), two) and a != Constraint((two, one), one)
     p, q = HPolytope(2, (a, b)), HPolytope(2, (b, a), None)
     assert p == q and not p != q and hash(p) == hash(q) and len({p, q}) == 1
     assert p.n == 2 and p.family is None
@@ -185,7 +183,7 @@ def test_constraint_and_polytope_values_ignore_labels():
     with pytest.raises(AttributeError):
         p.dim = 3
     with pytest.raises(AttributeError):
-        a.label = "c"
+        a.rhs = two
 
 
 def test_polytope_validates_dimension_and_row_widths():
@@ -202,15 +200,11 @@ def test_polytope_validates_dimension_and_row_widths():
 
 @pytest.mark.parametrize("record, fields", [
     (FamilyTag, ("name", "n", "d")),
-    (Constraint, ("coeffs", "rhs", "label")),
+    (Constraint, ("coeffs", "rhs")),
     (HPolytope, ("dim", "constraints", "family")),
     (LI2Profile, ("is_li2", "n_prime", "pair_counts", "single_var_count")),
-    (formulas.BoundReport, ("quantity", "formula_value", "oracle_value",
-                            "satisfied", "note")),
     (formulas.RatioRow, ("n", "f_dual_cyclic", "f_pstar", "ratio", "threshold",
                          "residue", "within_envelope")),
-    (hvector.UbtEntry, ("index", "h_value", "h_dual_cyclic", "ok")),
-    (hvector.UbtComparison, ("entries", "satisfied")),
 ], ids=lambda x: x.__name__ if isinstance(x, type) else "")
 def test_records_keep_positional_fields(record, fields):
     assert record._fields == fields

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import li2poly
-from li2poly import constructors, faces, hvector, model
+from li2poly import constructors, faces, formulas, hvector, model
 from li2poly.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +63,13 @@ def test_queries_have_one_handle_over_integer_generators():
     assert not hasattr(faces.Analysis, "face_bits") and not hasattr(faces, "BitFace")
     assert not hasattr(model, "dot")
     assert not hasattr(hvector, "Fraction") and not hasattr(hvector, "_draw_objective")
+    # The bound and h checks return plain values, and a row carries no label.
+    for module, name in ((formulas, "BoundReport"), (formulas, "ridge_bound_report"),
+                         (formulas, "separation_bound_reports"),
+                         (hvector, "UbtEntry"), (hvector, "UbtComparison")):
+        assert not hasattr(module, name) and not hasattr(li2poly, name), name
+    assert "label" not in model.Constraint._fields
+    assert not hasattr(hvector, "f_from_h")
 
 
 def test_lazy_exports_keep_the_public_surface():
