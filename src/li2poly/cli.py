@@ -178,12 +178,9 @@ def cmd_verify(args) -> int:
     checks: dict[str, bool] = {}
     checks["oracle_match"] = f_enum == f_formula
 
-    if bounded:
-        reduced = sum((-1) ** k * f_enum[k] for k in range(d))
-        checks["euler"] = reduced == 1 - (-1) ** d
-    else:
-        alternating = sum((-1) ** k * f_enum[k] for k in range(d + 1))
-        checks["euler"] = alternating == 0
+    # P itself counted: 1 for a polytope, 0 for a pointed unbounded polyhedron.
+    checks["euler"] = sum((-1) ** k * f_enum[k] for k in range(d + 1)) == int(bounded)
+    if not bounded:
         notes.append("euler: unbounded instance, checked alternating sum = 0")
 
     stage = _timer()

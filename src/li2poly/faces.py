@@ -20,12 +20,12 @@ all of it; bit k of a face is generator k. Holding, for each row, the
 bitset of generators it is tight on, the lattice is closed under AND from
 P itself (Kaibel & Pfetsch 2002), and a face's closed tight set is the set
 of rows whose bitset contains it.
-One pass of n ANDs per face gives the faces and their tight rows, as
-bitsets, and from the lattice order their codimensions; it streams them
-and keeps none. After the kernel all work is combinatorial: facets are
-the maximal proper faces among the rows' bitsets, and the only other
-arithmetic is the cone-membership test for implicit equalities, one more
-run of the kernel (see redundant_rows).
+One pass of n ANDs per face gives the faces, as bitsets, and from the
+lattice order their codimensions; it streams them and keeps none. After
+the kernel all work is combinatorial: facets are the maximal proper faces
+among the rows' bitsets, and the only other arithmetic is the
+cone-membership test for implicit equalities, one more run of the kernel
+(see redundant_rows).
 
 Analysis, which carries the work budget, is the one query handle: its
 cached properties and the builders here and in hvector enumerate once.
@@ -266,18 +266,16 @@ class Analysis:
         return redundant_rows(self)
 
     @cached_property
-    def _lattice_pass(self) -> tuple[FVector, list[int], int]:
+    def _lattice_pass(self) -> tuple[FVector, list[int]]:
         """One face_lattice pass: the f-vector (f_k counts codimension top - k,
-        top the vertices'), the two-generator faces and the ridge count."""
-        counts, pairs, ridges = [0] * (self.p.dim + 1), [], 0
-        for codim, tight, face in face_lattice(self):
+        top the vertices') and the two-generator faces."""
+        counts, pairs = [0] * (self.p.dim + 1), []
+        for codim, face in face_lattice(self):
             counts[codim] += 1
             if face.bit_count() == 2:
                 pairs.append(face)
-            if codim == 2:
-                ridges += comb(tight.bit_count(), 2)
         top = max(c for c, count in enumerate(counts) if count)
-        return tuple(counts[top::-1]) + (0,) * (self.p.dim - top), pairs, ridges
+        return tuple(counts[top::-1]) + (0,) * (self.p.dim - top), pairs
 
     @cached_property
     def f_vector(self) -> FVector:
@@ -296,8 +294,9 @@ class Analysis:
 
         Requires a bounded, nonredundant, full-dimensional input, where rows
         and facets are in bijection (implicit equalities are tight on every
-        face): the count is the number of pairs {i, j} whose joint face
-        closes to dimension d-2. Equals f_{d-2} for simple polytopes.
+        face). Each (d-2)-face lies in exactly two facets and is their
+        intersection (the diamond property; Ziegler 1995), so the count is
+        f_{d-2}; a segment has no nonempty (d-2)-face and counts 0.
         """
         if not self.bounded:
             raise UnboundedInputError("facet adjacency requires a bounded polytope")
@@ -309,7 +308,7 @@ class Analysis:
             raise InputError(
                 f"the polytope is not full-dimensional in R^{self.p.dim}; "
                 "adjacency counts need rows in bijection with facets")
-        return self._lattice_pass[2]
+        return self.f_vector[self.p.dim - 2] if self.p.dim >= 2 else 0
 
 
 def face_lattice(a: Analysis):
@@ -321,17 +320,17 @@ def face_lattice(a: Analysis):
     bitset ANDed with some row bitsets, so ANDing each face found with each
     row, from P down, reaches them all; a result without a vertex is empty
     (Kaibel & Pfetsch 2002). One pass visits the faces in decreasing size
-    and ANDs each with the n rows once: the results equal to the face are
-    its tight rows, and the others that hold a vertex are faces below it,
-    new or seen. Each facet of a face F is F AND some row, and a face that
-    reaches F without having it as a facet contains a smaller face that
-    does. So the last face to reach F, a smallest one, has F as a facet,
-    and F's codimension is one more than that face's; no row coefficient is
-    read. Each size bucket maps its faces to their codimensions; an AND only
-    shrinks a bitset, so no later face reaches a visited bucket, whose
-    codimensions are then final, and it is dropped. Yields (codimension,
-    tight rows, generators) in visiting order, the last two as bitsets; the
-    vertices, at the bottom of the graded poset, have the largest, dim P.
+    and ANDs each with the n rows once: the results other than the face
+    that hold a vertex are faces below it, new or seen. Each facet of a
+    face F is F AND some row, and a face that reaches F without having it
+    as a facet contains a smaller face that does. So the last face to reach
+    F, a smallest one, has F as a facet, and F's codimension is one more
+    than that face's; no row coefficient is read. Each size bucket maps its
+    faces to their codimensions; an AND only shrinks a bitset, so no later
+    face reaches a visited bucket, whose codimensions are then final, and
+    it is dropped. Yields (codimension, generators) pairs in visiting
+    order, the generators as a bitset; the vertices, at the bottom of the
+    graded poset, have the largest codimension, dim P.
     The analysis supplies the generators and their transpose and applies
     the cap. Each call walks the lattice anew, so read Analysis's queries.
     """
@@ -341,14 +340,12 @@ def face_lattice(a: Analysis):
     by_size = [{} for _ in range(everything.bit_count())] + [{everything: 0}]
     while by_size:
         for face, codim in by_size.pop().items():
-            below, tight = codim + 1, 0
-            for i, bits in enumerate(on_row):
+            below = codim + 1
+            for bits in on_row:
                 sub = face & bits
-                if sub == face:
-                    tight |= 1 << i
-                elif sub & on_vertex:
+                if sub != face and sub & on_vertex:
                     by_size[sub.bit_count()][sub] = below
-            yield codim, tight, face
+            yield codim, face
 
 
 def _in_cone(v: IntVec, gens: list[IntVec]) -> bool:

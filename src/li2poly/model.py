@@ -142,7 +142,7 @@ def parse_hrep(text: str | bytes) -> HPolytope:
     if len(header) != 2 or not all(_NATURAL_RE.match(t) for t in header):
         raise HRepParseError("header must be two positive integers 'n d'", header_line)
     n, d = int(header[0]), int(header[1])
-    if n < 0 or d <= 0:
+    if d < 1:
         raise HRepParseError("header must satisfy n >= 0 and d >= 1", header_line)
     if len(data_lines) - 1 < n:
         raise HRepParseError(f"expected {n} constraint rows, found {len(data_lines) - 1}")

@@ -112,10 +112,14 @@ def cached_f_vector(family: str, n: int, d: int) -> tuple[int, ...]:
 def collect_lattice(a: faces.Analysis) -> list[tuple[int, int, int]]:
     """The whole face lattice, which the package streams and never keeps, as
     sorted (dim, tight rows, generators) triples: dim = top - codim, where
-    top, the largest codimension, is the vertices'."""
+    top, the largest codimension, is the vertices', and the tight rows, a
+    bitset, are the rows whose generator bitset contains the face's."""
+    def tight(face: int) -> int:
+        return sum(1 << i for i, bits in enumerate(a.on_row) if bits & face == face)
+
     found = list(faces.face_lattice(a))
-    top = max(codim for codim, _, _ in found)
-    return sorted((top - codim, tight, face) for codim, tight, face in found)
+    top = max(codim for codim, _ in found)
+    return sorted((top - codim, tight(face), face) for codim, face in found)
 
 
 def permuted(p: HPolytope, order) -> HPolytope:

@@ -136,6 +136,8 @@ def test_edge_graph_rejects_unbounded():
 
 def test_facet_adjacency_square(square):
     assert faces.Analysis(square).facet_adjacency_count == 4
+    # A segment has no ridge: f_{d-2} would wrap round to f_1 = 1 at d = 1.
+    assert faces.Analysis(parse_hrep("2 1\n1 1\n-1 1")).facet_adjacency_count == 0
 
 
 def test_facet_adjacency_pstar_12_6():
