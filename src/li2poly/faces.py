@@ -23,9 +23,9 @@ of rows whose bitset contains it.
 One pass of n ANDs per face gives the faces, as bitsets, and from the
 lattice order their codimensions; it streams them and keeps none. After
 the kernel all work is combinatorial: facets are the maximal proper faces
-among the rows' bitsets, and the only other arithmetic is the
-cone-membership test for implicit equalities, one more run of the kernel
-(see redundant_rows).
+among the rows' bitsets, and the only other arithmetic is the test for
+implicit equalities: the kernel run again without the row (see
+redundant_rows).
 
 Analysis, which carries the work budget, is the one query handle: its
 cached properties and the builders here and in hvector enumerate once.
@@ -33,14 +33,13 @@ cached properties and the builders here and in hvector enumerate once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import (CapExceededError, InfeasibleError, InputError,
                      NonPointedError, RedundantInputError, UnboundedInputError)
-from .model import Constraint, HPolytope
+from .model import HPolytope
 
 DEFAULT_MAX_WORK = 5_000_000
 
@@ -348,39 +347,29 @@ def face_lattice(a: Analysis):
             yield codim, face
 
 
-def _in_cone(v: IntVec, gens: list[IntVec]) -> bool:
-    """True iff v is a nonnegative combination of gens.
-
-    By Farkas' lemma that holds iff no y has g.y <= 0 for every g and
-    v.y > 0, that is iff the system {g.y <= 0 for all g, v.y >= 1} is
-    empty, which the kernel decides.
-    """
-    farkas = [Constraint(tuple(map(Fraction, g)), Fraction(0)) for g in gens]
-    farkas.append(Constraint(tuple(Fraction(-x) for x in v), Fraction(-1)))
-    try:
-        enumerate_vertices(HPolytope(len(v), tuple(farkas)))
-    except InfeasibleError:
-        return True
-    except NonPointedError:
-        pass
-    return False
-
-
 def redundant_rows(a: Analysis) -> frozenset[int]:
-    """Rows whose removal leaves the polytope unchanged, from incidences.
+    """Rows whose removal leaves the polytope unchanged.
 
     This is the builder behind Analysis.redundant. Rows are scanned from
     the highest index down and each redundant one is dropped before the
-    next is tested, so among duplicates the lowest index is kept. E, the
-    rows tight at every vertex, are the implicit equalities: one of them is
-    redundant iff its normal lies in the cone of the other active rows of
-    E (Farkas; no row outside E can take part). Any other row is redundant
-    iff it is tight at no vertex, or its face is not a facet, or an active
-    row is tight at exactly the same vertices. Every row's bitset is a
-    face and the facets are the maximal proper faces, so the face is a
-    facet iff no row's bitset lies strictly between it and all vertices.
-    Requires a nonempty bounded polytope; the empty one raises
-    InfeasibleError.
+    next is tested, so the remaining rows always cut out P and, among
+    duplicates, the lowest index is kept. E, the rows tight at every
+    vertex, are the implicit equalities. One of them is redundant iff the
+    kernel run on the other remaining rows returns P's generators again,
+    which is the definition: a new vertex or ray means the row was needed.
+    That system holds P, so it is nonempty, and it is pointed: a nonzero v
+    orthogonal to every other normal, with a_i.v <= 0 after a sign flip,
+    would be a recession direction of the bounded P. The rule is Farkas'
+    "its normal lies in the cone of the other remaining normals of E": a
+    certificate a_i = sum l_j a_j, b_i >= sum l_j b_j, l >= 0 that the
+    others imply row i, evaluated at a relative-interior point of P, where
+    rows outside E have positive slack, puts no weight outside E.
+    Any other row is redundant iff it is tight at no vertex, or its face is
+    not a facet, or an active row is tight at exactly the same vertices.
+    Every row's bitset is a face and the facets are the maximal proper
+    faces, so the face is a facet iff no row's bitset lies strictly between
+    it and all vertices. Requires a nonempty bounded polytope; the empty
+    one raises InfeasibleError.
     """
     p = a.p
     unbounded = UnboundedInputError("redundancy scan requires a bounded polytope")
@@ -394,14 +383,14 @@ def redundant_rows(a: Analysis) -> frozenset[int]:
         raise unbounded
     on_row = a.on_row
     everywhere = (1 << len(generators)) - 1
-    normals = [r[:-1] for r in _integer_rows(p)]
     active = set(range(p.n))
     for i in reversed(range(p.n)):
         tight = on_row[i]
         others = active - {i}
         if tight == everywhere:
-            drop = _in_cone(normals[i], [normals[j] for j in sorted(others)
-                                         if on_row[j] == everywhere])
+            rest = HPolytope(p.dim, tuple(p.constraints[j] for j in sorted(others)))
+            # rest numbers its rows anew, so compare the generators, not their bitsets
+            drop = [g for g, _ in enumerate_vertices(rest)] == [g for g, _ in generators]
         else:
             drop = (not tight
                     or any(z & tight == tight and z not in (tight, everywhere)

@@ -162,7 +162,7 @@ def _with_rows(p: HPolytope, *rows: str) -> HPolytope:
 def _pinned_point(d: int, m: int) -> HPolytope:
     """The origin cut out by m rows tight there: m-1 random normals with a
     negative coordinate sum, then (1, ..., 1). Every row is an implicit
-    equality, and the cone tests on the first rows are not trivial."""
+    equality, and the kernel reruns without the first rows are not trivial."""
     rng = random.Random(3)
     rows = []
     while len(rows) < m - 1:
@@ -196,6 +196,12 @@ REDUNDANCY = {
     "pinned_point": lambda: _pinned_point(5, 16),
     "segment_in_3d": lambda: parse_hrep("6 3\n0 0 1 0\n0 0 -1 0\n0 1 0 0\n"
                                         "0 -1 0 0\n1 0 0 1\n-1 0 0 0"),
+    # Row 5 is the sum of rows 3 and 4, not a multiple of one row.
+    "segment_in_3d_summed_row": lambda: parse_hrep("6 3\n1 0 0 1\n-1 0 0 0\n0 1 0 0\n"
+                                                   "0 0 1 0\n0 -1 -1 0\n0 -1 0 0"),
+    "point_with_tight_sum_row": lambda: parse_hrep("5 2\n1 0 0\n-1 0 0\n0 1 0\n"
+                                                   "0 -1 0\n1 1 0"),
+    "point_in_1d": lambda: parse_hrep("3 1\n1 0\n-1 0\n2 0"),
     "unbounded": lambda: constructors.pstar(7, 3),
     "non_pointed": lambda: parse_hrep("1 2\n-1 0 0"),
     "empty": lambda: parse_hrep("2 1\n1 -2\n-1 1"),

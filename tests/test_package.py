@@ -63,6 +63,8 @@ def test_queries_have_one_handle_over_integer_generators():
     assert not hasattr(faces.Analysis, "face_bits") and not hasattr(faces, "BitFace")
     assert not hasattr(model, "dot")
     assert not hasattr(hvector, "Fraction") and not hasattr(hvector, "_draw_objective")
+    for name in ("Fraction", "Constraint", "_in_cone"):  # redundancy runs the kernel again
+        assert not hasattr(faces, name), name
     # The bound and h checks return plain values, and a row carries no label.
     for module, name in ((formulas, "BoundReport"), (formulas, "ridge_bound_report"),
                          (formulas, "separation_bound_reports"),
