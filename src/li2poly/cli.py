@@ -13,9 +13,10 @@ check failed, 2 usage error, 3 input error (infeasible, unbounded where
 boundedness is required, divisibility violation, size cap exceeded), 4
 internal error (a failed invariant, i.e. a bug; one line on stderr).
 
-JSON documents carry schema_version 1. Identical invocations produce
-byte-identical output once --no-timing drops the only nondeterministic
-fields.
+_emit writes every JSON document in one frame: schema_version 1 and the
+command first, then the command's own fields, and last the timing_ms
+block, the only nondeterministic fields, which --no-timing drops so that
+identical invocations print byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,14 +29,17 @@ import time
 from . import faces, model
 from .errors import InputError
 
-SCHEMA_VERSION = 1
 VERIFY_SEEDS = (0, 1, 2)
-CHECK_NAMES = ("oracle_match", "euler", "h_independence", "ubt",
-               "lemma41", "thm42_strict")
 VACUOUS_RIDGE = "vacuous: bound is at least C(n,2)"
 
 
-def _emit(doc: dict) -> None:
+def _emit(command: str, fields: dict, timing: dict | None = None) -> None:
+    """Print one JSON document in the frame every command shares:
+    schema_version and command first, then `fields` in their order, then
+    timing_ms if `timing` is given."""
+    doc = {"schema_version": 1, "command": command, **fields}
+    if timing is not None:
+        doc["timing_ms"] = timing
     print(json.dumps(doc, indent=2))
 
 
@@ -108,18 +112,13 @@ def cmd_fvector(args) -> int:
         f = constructors.FAMILIES[p.family.name].f_vector(p.family.n, p.family.d)
     else:
         f = faces.Analysis(p, args.max_work).f_vector
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fvector",
+    _emit("fvector", {
         "n": p.n,
         "d": p.dim,
         "method": args.method,
         "family": p.family.name if p.family else None,
         "f": list(f),
-    }
-    if not args.no_timing:
-        doc["timing_ms"] = {"total": elapsed()}
-    _emit(doc)
+    }, None if args.no_timing else {"total": elapsed()})
     return 0
 
 
@@ -131,20 +130,14 @@ def cmd_hvector(args) -> int:
     from . import hvector
     seeds = [args.seed + i for i in range(args.repeat)]
     per_seed = [hvector.indegree_hvector(analysis, s) for s in seeds]
-    agree = len(set(per_seed)) == 1
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "hvector",
+    _emit("hvector", {
         "n": p.n,
         "d": p.dim,
         "seeds": seeds,
         "h_per_seed": [list(h) for h in per_seed],
-        "agree": agree,
+        "agree": len(set(per_seed)) == 1,
         "h": list(per_seed[0]),
-    }
-    if not args.no_timing:
-        doc["timing_ms"] = {"total": elapsed()}
-    _emit(doc)
+    }, None if args.no_timing else {"total": elapsed()})
     return 0
 
 
@@ -175,7 +168,7 @@ def cmd_verify(args) -> int:
     profile = model.li2_profile(p)
     h_transform = hvector.h_from_f(f_enum)
 
-    checks: dict[str, bool] = {}
+    checks: dict[str, bool] = {}  # filled in the order the output lists them
     checks["oracle_match"] = f_enum == f_formula
 
     # P itself counted: 1 for a polytope, 0 for a pointed unbounded polyhedron.
@@ -208,32 +201,26 @@ def cmd_verify(args) -> int:
         checks["thm42_strict"] = all(
             f_enum[k] < formulas.fk_dual_cyclic(n, d, k) for k in range(d - 1))
     else:
-        checks["lemma41"] = checks["thm42_strict"] = True
-        notes.append("lemma41: skipped, needs a bounded two-variable system with d >= 4")
-        notes.append("thm42_strict: skipped, needs a bounded two-variable system with d >= 4")
+        for name in ("lemma41", "thm42_strict"):
+            checks[name] = True
+            notes.append(f"{name}: skipped, needs a bounded two-variable system with d >= 4")
     timing["bounds"] = stage()
 
-    overall = all(checks[name] for name in CHECK_NAMES)
+    overall = all(checks.values())
     timing["total"] = total()
 
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "instance": {"family": args.family, "n": n, "d": d},
-        "bounded": bounded,
-        "f_enumerated": list(f_enum),
-        "f_formula": list(f_formula),
-        "h_indegree": list(h_indegree) if h_indegree is not None else None,
-        "h_from_f": list(h_transform),
-        "checks": {name: checks[name] for name in CHECK_NAMES},
-        "notes": notes,
-        "pass": overall,
-    }
-    if not args.no_timing:
-        doc["timing_ms"] = timing
-
     if args.json:
-        _emit(doc)
+        _emit("verify", {
+            "instance": {"family": args.family, "n": n, "d": d},
+            "bounded": bounded,
+            "f_enumerated": list(f_enum),
+            "f_formula": list(f_formula),
+            "h_indegree": list(h_indegree) if h_indegree is not None else None,
+            "h_from_f": list(h_transform),
+            "checks": checks,
+            "notes": notes,
+            "pass": overall,
+        }, None if args.no_timing else timing)
     else:
         print(f"instance: {args.family} n={n} d={d} "
               f"({'bounded' if bounded else 'unbounded'})")
@@ -242,8 +229,8 @@ def cmd_verify(args) -> int:
         if h_indegree is not None:
             print(f"h (indegree):   {' '.join(map(str, h_indegree))}")
         print(f"h (from f):     {' '.join(map(str, h_transform))}")
-        for name in CHECK_NAMES:
-            print(f"check {name}: {'pass' if checks[name] else 'FAIL'}")
+        for name, ok in checks.items():
+            print(f"check {name}: {'pass' if ok else 'FAIL'}")
         for note in notes:
             print(f"note: {note}")
         print(f"overall: {'pass' if overall else 'FAIL'}")
@@ -265,9 +252,7 @@ def cmd_profile(args) -> int:
     except InputError as exc:
         warnings.append(f"redundancy scan skipped: {exc}")
         exit_code = 3
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "profile",
+    _emit("profile", {
         "n": p.n,
         "d": p.dim,
         "is_li2": profile.is_li2,
@@ -277,8 +262,7 @@ def cmd_profile(args) -> int:
                         for pair, count in sorted(profile.pair_counts.items())],
         "redundant_indices": redundant,
         "warnings": warnings,
-    }
-    _emit(doc)
+    })
     return exit_code
 
 
@@ -293,12 +277,9 @@ def cmd_report_ratio(args) -> int:
     if args.csv:
         header = ["n", "f_dual_cyclic", "f_pstar", "ratio", "threshold",
                   "within_envelope"]
-        if args.decimal is not None:
-            header.append("ratio_decimal")
-        print(",".join(header))
+        print(",".join(header + ["ratio_decimal"] * (args.decimal is not None)))
         for r in rows:
-            cells = [str(r.n), str(r.f_dual_cyclic), str(r.f_pstar),
-                     str(r.ratio), str(r.threshold), str(r.within_envelope).lower()]
+            cells = [str(getattr(r, name)).lower() for name in header]
             if args.decimal is not None:
                 scaled = r.ratio.numerator * 10 ** args.decimal // r.ratio.denominator
                 text = str(scaled).rjust(args.decimal + 1, "0")
@@ -306,23 +287,14 @@ def cmd_report_ratio(args) -> int:
                              if args.decimal else text)
             print(",".join(cells))
         return 0
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "report-ratio",
+    _emit("report-ratio", {
         "d": args.d,
         "k": args.k,
         "envelope_slack": formulas.ENVELOPE_SLACK,
-        "rows": [{
-            "n": r.n,
-            "f_dual_cyclic": r.f_dual_cyclic,
-            "f_pstar": r.f_pstar,
-            "ratio": str(r.ratio),
-            "threshold": str(r.threshold),
-            "residue": str(r.residue),
-            "within_envelope": r.within_envelope,
-        } for r in rows],
-    }
-    _emit(doc)
+        # Each row's fields in order: ints and bools as they are, fractions as "p/q".
+        "rows": [{name: value if isinstance(value, int) else str(value)
+                  for name, value in r._asdict().items()} for r in rows],
+    })
     return 0
 
 
@@ -332,9 +304,7 @@ def cmd_report_bounds(args) -> int:
     ridge = formulas.lemma41_bound(n, np_, d)  # validates d >= 4 first
     count_max = formulas.binom(n, 2)
     deficit = formulas.two_variable_deficit(np_, d)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "report-bounds",
+    _emit("report-bounds", {
         "n": n,
         "n_prime": np_,
         "d": d,
@@ -349,8 +319,7 @@ def cmd_report_bounds(args) -> int:
             "bound_proof_chain": str(formulas.thm42_bound(n, np_, d, k)),
             "bound_literal": str(formulas.thm42_bound_literal(n, np_, d, k)),
         } for k in range(d - 1)],
-    }
-    _emit(doc)
+    })
     return 0
 
 
@@ -426,7 +395,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:

@@ -6,15 +6,15 @@ and the numbering of the lattice's faces, which is the analysis's: bit k
 is generator k. The kernel tests each (+, -) ray pair against every other
 ray's zero set, which costs O(R) per pair. The lattice closes the faces,
 then takes their dimensions, then their tight sets, in three passes of n
-ANDs per face.
+ANDs per face. The kernel clears the rows' denominators itself and
+imports nothing from faces.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from li2poly.errors import InfeasibleError, NonPointedError
-from li2poly.faces import _integer_rows
 from li2poly.model import HPolytope
 
 
@@ -25,6 +25,14 @@ def _incidence(n: int, zero_sets) -> list[int]:
             if zeros >> i & 1:
                 on_row[i] |= 1 << k
     return on_row
+
+
+def _integer_rows(p: HPolytope) -> list[tuple[int, ...]]:
+    """Row i as (a_i, -b_i) times the lcm of its denominators. It is cleared
+    here, not by faces, so a fault in the kernel's own conversion shows."""
+    rows = [(*c.coeffs, -c.rhs) for c in p.constraints]
+    return [tuple(int(x * lcm(*(y.denominator for y in row))) for x in row)
+            for row in rows]
 
 
 def _dot(u, v) -> int:

@@ -1,0 +1,109 @@
+"""The CLI's output byte for byte: each invocation's stdout and exit code are
+compared with a file under tests/golden/, and a timed document ends with its
+timing block.
+
+After an intended change of output, rewrite the files from the repository
+root with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import os
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from li2poly import constructors, model
+from li2poly.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = {  # file name -> H-representation, written to the working directory
+    "pstar_8_4.hrep": model.serialize_hrep(constructors.pstar(8, 4)),
+    "dual_cyclic_24_6.hrep": model.serialize_hrep(constructors.dual_cyclic(24, 6)),
+    "strip.hrep": "2 2\n1 0 0\n-1 0 0\n",
+}
+RATIO = ["report", "ratio", "--d", "4", "--k", "0", "--n-start", "8",
+         "--n-end", "16", "--step", "4"]
+CASES = {  # golden file stem -> (argv, exit code)
+    "fvector_enumerate": (["fvector", "--in", "pstar_8_4.hrep", "--method",
+                           "enumerate", "--no-timing"], 0),
+    "fvector_formula": (["fvector", "--in", "pstar_8_4.hrep", "--method",
+                         "formula", "--no-timing"], 0),
+    "hvector_repeat_3": (["hvector", "--in", "pstar_8_4.hrep", "--seed", "0",
+                          "--repeat", "3", "--no-timing"], 0),
+    "verify_pstar_12_6": (["verify", "pstar", "--n", "12", "--d", "6", "--json",
+                           "--no-timing"], 0),
+    "verify_pstar_13_7": (["verify", "pstar", "--n", "13", "--d", "7", "--json",
+                           "--no-timing"], 0),
+    "verify_pstar_6_4": (["verify", "pstar", "--n", "6", "--d", "4", "--json",
+                          "--no-timing"], 1),
+    "verify_dualcyclic_9_5": (["verify", "dualcyclic", "--n", "9", "--d", "5",
+                               "--json", "--no-timing"], 0),
+    "verify_prism3_8": (["verify", "prism3", "--n", "8", "--json", "--no-timing"], 0),
+    "verify_text_pstar_13_7": (["verify", "pstar", "--n", "13", "--d", "7",
+                                "--no-timing"], 0),
+    "verify_text_pstar_6_4": (["verify", "pstar", "--n", "6", "--d", "4",
+                               "--no-timing"], 1),
+    "profile_dual_cyclic_24_6": (["profile", "--in", "dual_cyclic_24_6.hrep"], 0),
+    "profile_strip": (["profile", "--in", "strip.hrep"], 3),
+    "report_ratio_json": (RATIO, 0),
+    "report_ratio_csv": (RATIO + ["--csv"], 0),
+    "report_ratio_csv_decimal": (RATIO + ["--csv", "--decimal", "4"], 0),
+    "report_bounds": (["report", "bounds", "--n", "12", "--n-prime", "12",
+                       "--d", "6"], 0),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("inputs")
+    for name, text in INPUTS.items():
+        (folder / name).write_text(text, encoding="utf-8")
+    return folder
+
+
+def _golden(name: str) -> Path:
+    return GOLDEN / f"{name}.out"
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_matches_golden(inputs, monkeypatch, capsys, name):
+    argv, code = CASES[name]
+    monkeypatch.chdir(inputs)
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == _golden(name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["fvector_enumerate", "hvector_repeat_3",
+                                  "verify_pstar_12_6"])
+def test_timing_block_comes_last(inputs, monkeypatch, capsys, name):
+    argv, code = CASES[name]
+    monkeypatch.chdir(inputs)
+    assert run([a for a in argv if a != "--no-timing"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc)[:2] == ["schema_version", "command"]
+    assert list(doc)[-1] == "timing_ms"
+    assert list(json.loads(_golden(name).read_text(encoding="utf-8"))) == list(doc)[:-1]
+
+
+def _rewrite() -> None:
+    """Write every golden file from the code as it stands."""
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as folder:
+        for name, text in INPUTS.items():
+            Path(folder, name).write_text(text, encoding="utf-8")
+        here = os.getcwd()
+        os.chdir(folder)
+        for name, (argv, code) in CASES.items():
+            with open(_golden(name), "w", encoding="utf-8") as fh, redirect_stdout(fh):
+                assert run(argv) == code, name
+        os.chdir(here)
+
+
+if __name__ == "__main__":
+    _rewrite()
