@@ -14,8 +14,8 @@ from li2poly.formulas import fk_dual_cyclic, fk_pstar, two_variable_deficit
 
 print("vertex-count ratios at d=4 against the e^2 envelope:")
 for row in ratio_report(4, range(8, 41, 4), 0):
-    print(f"  n={row.n:2d}  c*: {row.f_dual_cyclic:4d}  P*: {row.f_pstar:4d}"
-          f"  ratio {str(row.ratio):>6}  (threshold {float(row.threshold):.3f})")
+    print(f"  n={row['n']:2d}  c*: {row['f_dual_cyclic']:4d}  P*: {row['f_pstar']:4d}"
+          f"  ratio {str(row['ratio']):>6}  (threshold {float(row['threshold']):.3f})")
 print()
 
 print("adjacent facet pairs of pstar(12, 6):")

@@ -11,7 +11,8 @@ Machine output goes to stdout, human-readable errors to stderr.
 Exit codes: 0 success (and, for verify, all checks pass), 1 a verification
 check failed, 2 usage error, 3 input error (infeasible, unbounded where
 boundedness is required, divisibility violation, size cap exceeded), 4
-internal error (a failed invariant, i.e. a bug; one line on stderr).
+internal error (a failed invariant, i.e. a bug; one line on stderr), 141
+the reader closed stdout early (128 + SIGPIPE; nothing on stderr).
 
 _emit writes every JSON document in one frame: schema_version 1 and the
 command first, then the command's own fields, and last the timing_ms
@@ -194,9 +195,8 @@ def cmd_verify(args) -> int:
 
     stage = _timer()
     if profile.is_li2 and d >= 4 and bounded:
-        ridge = formulas.lemma41_bound(n, profile.n_prime, d)
-        checks["lemma41"] = f_enum[d - 2] <= ridge
-        if ridge >= formulas.binom(n, 2):
+        checks["lemma41"] = f_enum[d - 2] <= formulas.lemma41_bound(n, profile.n_prime, d)
+        if formulas.two_variable_deficit(profile.n_prime, d) <= 0:
             notes.append(f"lemma41: {VACUOUS_RIDGE}")
         checks["thm42_strict"] = all(
             f_enum[k] < formulas.fk_dual_cyclic(n, d, k) for k in range(d - 1))
@@ -274,26 +274,24 @@ def cmd_report_ratio(args) -> int:
     if not ns:
         raise UsageError("empty n range")
     rows = formulas.ratio_report(args.d, ns, args.k)
+    places = args.decimal
+    if places is not None:
+        for row in rows:  # the ratio truncated to `places` decimals
+            whole, rest = divmod(row["ratio"] * 10 ** places // 1, 10 ** places)
+            row["ratio_decimal"] = f"{whole}.{rest:0{places}d}" if places else str(whole)
     if args.csv:
-        header = ["n", "f_dual_cyclic", "f_pstar", "ratio", "threshold",
-                  "within_envelope"]
-        print(",".join(header + ["ratio_decimal"] * (args.decimal is not None)))
-        for r in rows:
-            cells = [str(getattr(r, name)).lower() for name in header]
-            if args.decimal is not None:
-                scaled = r.ratio.numerator * 10 ** args.decimal // r.ratio.denominator
-                text = str(scaled).rjust(args.decimal + 1, "0")
-                cells.append(f"{text[:-args.decimal] or '0'}.{text[-args.decimal:]}"
-                             if args.decimal else text)
-            print(",".join(cells))
+        columns = [name for name in rows[0] if name != "residue"]
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(str(row[name]).lower() for name in columns))
         return 0
     _emit("report-ratio", {
         "d": args.d,
         "k": args.k,
         "envelope_slack": formulas.ENVELOPE_SLACK,
-        # Each row's fields in order: ints and bools as they are, fractions as "p/q".
+        # Each row's fields in order: ints and bools as they are, the rest as strings.
         "rows": [{name: value if isinstance(value, int) else str(value)
-                  for name, value in r._asdict().items()} for r in rows],
+                  for name, value in row.items()} for row in rows],
     })
     return 0
 
@@ -302,15 +300,14 @@ def cmd_report_bounds(args) -> int:
     from . import formulas
     n, np_, d = args.n, args.n_prime, args.d
     ridge = formulas.lemma41_bound(n, np_, d)  # validates d >= 4 first
-    count_max = formulas.binom(n, 2)
     deficit = formulas.two_variable_deficit(np_, d)
     _emit("report-bounds", {
         "n": n,
         "n_prime": np_,
         "d": d,
         "ridge_bound": str(ridge),
-        "ridge_note": VACUOUS_RIDGE if ridge >= count_max else "",
-        "ridge_count_max": count_max,
+        "ridge_note": VACUOUS_RIDGE if deficit <= 0 else "",
+        "ridge_count_max": formulas.binom(n, 2),
         "deficit": str(deficit),
         "deficit_vacuous": deficit <= 0,
         "per_k": [{
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(func=cmd_hvector)
 
     v = sub.add_parser("verify", help="enumerate, evaluate formulas, check bounds")
-    v.add_argument("family", choices=("pstar", "dualcyclic", "prism3"))
+    v.add_argument("family", choices=model.FAMILY_NAMES)
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--d", type=int)
     v.add_argument("--json", action="store_true")
@@ -411,7 +408,16 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early. With fd 1 on the null device the exit flush
+        # cannot raise again; exit quietly with 128 + SIGPIPE, as a shell would.
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 from .errors import DivisibilityError
 
@@ -125,23 +124,23 @@ def polygon_f_vector(m: int) -> tuple[int, ...]:
     return (m, m, 1)
 
 
+def two_variable_deficit(n_prime: int, d: int) -> Fraction:
+    """D = C(n',2)/C(d,2) - n', the certified shortfall in ridge counts."""
+    return Fraction(binom(n_prime, 2), binom(d, 2)) - n_prime
+
+
 def lemma41_bound(n: int, n_prime: int, d: int) -> Fraction:
-    """Upper bound C(n,2) - C(n',2)/C(d,2) + n' on ridge counts.
+    """Upper bound C(n,2) - D on ridge counts, D = two_variable_deficit.
 
     n' is the number of rows touching exactly two variables. Exact
-    rational, not floored. Note the bound exceeds C(n,2) whenever
-    C(n',2)/C(d,2) < n', i.e. for small n'; it is vacuous there.
+    rational, not floored. It is at least C(n,2), hence vacuous, exactly
+    when D <= 0, i.e. when n' <= d(d-1) + 1.
     """
     if d < 4:
         raise ValueError("the ridge bound assumes d >= 4")
     if not (0 <= n_prime <= n):
         raise ValueError("need 0 <= n_prime <= n")
-    return binom(n, 2) - Fraction(binom(n_prime, 2), binom(d, 2)) + n_prime
-
-
-def two_variable_deficit(n_prime: int, d: int) -> Fraction:
-    """D = C(n',2)/C(d,2) - n', the certified shortfall in ridge counts."""
-    return Fraction(binom(n_prime, 2), binom(d, 2)) - n_prime
+    return binom(n, 2) - two_variable_deficit(n_prime, d)
 
 
 def _check_thm42_args(n: int, n_prime: int, d: int, k: int) -> None:
@@ -170,26 +169,16 @@ def thm42_bound(n: int, n_prime: int, d: int, k: int) -> Fraction:
 def thm42_bound_literal(n: int, n_prime: int, d: int, k: int) -> Fraction:
     """The displayed variant f_k(c*) - C(d-2,k)*(C(n',2)/C(d,2) + n').
 
-    Kept for reporting: its inner sign disagrees with the ridge bound and
-    with the chain of inequalities that certifies thm42_bound.
+    That is f_k(c*) - C(d-2,k)*(D + 2n'), D = two_variable_deficit. Kept
+    for reporting: its inner sign disagrees with the ridge bound and with
+    the chain of inequalities that certifies thm42_bound.
     """
     _check_thm42_args(n, n_prime, d, k)
-    inner = Fraction(binom(n_prime, 2), binom(d, 2)) + n_prime
-    return fk_dual_cyclic(n, d, k) - binom(d - 2, k) * inner
+    return (fk_dual_cyclic(n, d, k)
+            - binom(d - 2, k) * (two_variable_deficit(n_prime, d) + 2 * n_prime))
 
 
-class RatioRow(NamedTuple):
-    """One row of the dual-cyclic-to-paired-polygon face-count ratio sweep."""
-    n: int
-    f_dual_cyclic: int
-    f_pstar: int
-    ratio: Fraction
-    threshold: Fraction
-    residue: Fraction
-    within_envelope: bool
-
-
-def ratio_report(d: int, n_list, k: int) -> list[RatioRow]:
+def ratio_report(d: int, n_list, k: int) -> list[dict]:
     """Exact ratios f_k(c*)/f_k(P*) against the exponential threshold.
 
     The threshold is E_UPPER^floor(d/2) for k < ceil(d/2) and E_UPPER^(d-k)
@@ -206,8 +195,9 @@ def ratio_report(d: int, n_list, k: int) -> list[RatioRow]:
         fc = fk_dual_cyclic(n, d, k)
         fp = fk_pstar(n, d, k)
         ratio = Fraction(fc, fp)
-        rows.append(RatioRow(n, fc, fp, ratio, threshold, ratio / threshold,
-                             ratio <= ENVELOPE_SLACK * threshold))
+        rows.append({"n": n, "f_dual_cyclic": fc, "f_pstar": fp, "ratio": ratio,
+                     "threshold": threshold, "residue": ratio / threshold,
+                     "within_envelope": ratio <= ENVELOPE_SLACK * threshold})
     return rows
 
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
 from li2poly import constructors, faces, model
+from li2poly.errors import LI2PolyError
 from li2poly.model import Constraint, HPolytope
 from fraction_linalg import dot, rank, rows_of
 
@@ -120,6 +121,15 @@ def collect_lattice(a: faces.Analysis) -> list[tuple[int, int, int]]:
     found = list(faces.face_lattice(a))
     top = max(codim for codim, _ in found)
     return sorted((top - codim, tight(face), face) for codim, face in found)
+
+
+def outcome(thunk) -> tuple:
+    """("ok", value) of thunk(), or ("error", type, message) if it raises
+    one of the package's errors, so two paths compare with ==."""
+    try:
+        return ("ok", thunk())
+    except LI2PolyError as exc:
+        return ("error", type(exc), str(exc))
 
 
 def permuted(p: HPolytope, order) -> HPolytope:

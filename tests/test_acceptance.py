@@ -189,10 +189,10 @@ def test_criterion_7_gale_evenness_oracle():
 
 def test_criterion_8_ratio_envelope():
     rows = formulas.ratio_report(4, range(8, 41, 4), 0)
-    ratios = [r.ratio for r in rows]
+    ratios = [r["ratio"] for r in rows]
     ok = ratios == sorted(ratios)
-    ok &= all(r.ratio <= Fraction(739, 100) for r in rows)
-    ok &= all(r.ratio <= r.threshold for r in rows)
+    ok &= all(r["ratio"] <= Fraction(739, 100) for r in rows)
+    ok &= all(r["ratio"] <= r["threshold"] for r in rows)
     assert _report(8, "ratio monotone within e^2 envelope", ok)
 
 

@@ -6,11 +6,11 @@ import time
 
 import pytest
 
-from conftest import collect_lattice, square_pyramid
+from conftest import collect_lattice, outcome, square_pyramid
 from li2poly import constructors, faces, hvector, model
 from li2poly.cli import run
-from li2poly.errors import (CapExceededError, InfeasibleError, LI2PolyError,
-                            NonPointedError, NotSimpleError, UnboundedInputError)
+from li2poly.errors import (CapExceededError, InfeasibleError, NonPointedError,
+                            NotSimpleError, UnboundedInputError)
 
 
 def _count_calls(monkeypatch, functions) -> dict[str, int]:
@@ -139,13 +139,6 @@ def test_hvector_repeat_shares_one_lattice(monkeypatch, capsys, tmp_path):
     assert set(counts.values()) == {1}
 
 
-def _outcome(query, x):
-    try:
-        return ("ok", query(x))
-    except LI2PolyError as exc:
-        return ("error", type(exc), str(exc))
-
-
 def _queries():
     queries = {"f_vector": lambda a: a.f_vector,
                "edge_graph": lambda a: a.edge_graph,
@@ -179,9 +172,9 @@ def test_shared_analysis_matches_fresh_calls(build, expected_errors):
     p = build()
     shared = faces.Analysis(p)
     for name, query in _queries().items():
-        fresh = _outcome(query, faces.Analysis(p))
-        assert _outcome(query, shared) == fresh, name
-        assert _outcome(query, shared) == fresh, name  # served from the cache
+        fresh = outcome(lambda: query(faces.Analysis(p)))
+        assert outcome(lambda: query(shared)) == fresh, name
+        assert outcome(lambda: query(shared)) == fresh, name  # served from the cache
         if name in expected_errors:
             assert fresh[:2] == ("error", expected_errors[name]), name
         else:

@@ -2,6 +2,10 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +328,22 @@ def test_report_ratio_divisibility_exits_3(capsys):
     capsys.readouterr()
 
 
+def test_a_reader_that_closes_stdout_early_gets_exit_141(tmp_path):
+    # The document, about 2 MB, is far larger than a pipe's buffer, so a
+    # write fails once the reader has gone. That is no failed check (exit 1)
+    # and no traceback: exit 128 + SIGPIPE with nothing on stderr.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "li2poly.cli", "report", "ratio", "--d", "4", "--k", "0",
+         "--n-start", "8", "--n-end", "40000", "--step", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_report_bounds(capsys):
     code, doc = run_json(capsys, ["report", "bounds", "--n", "12",
                                   "--n-prime", "12", "--d", "6"])
@@ -345,6 +365,12 @@ def test_report_bounds(capsys):
                                   "--n-prime", "14", "--d", "4"])
     assert (doc["ridge_bound"], doc["ridge_note"]) == ("539/6", "")
     assert doc["ridge_count_max"] == 91
+    # n' = d(d-1) + 1 makes D = 0: the bound equals C(n,2) and is vacuous.
+    code, doc = run_json(capsys, ["report", "bounds", "--n", "13",
+                                  "--n-prime", "13", "--d", "4"])
+    assert (doc["ridge_bound"], doc["ridge_count_max"], doc["deficit"]) == ("78", 78, "0")
+    assert doc["ridge_note"] == "vacuous: bound is at least C(n,2)"
+    assert doc["deficit_vacuous"] is True
 
 
 @pytest.mark.parametrize("n, n_prime, message", [

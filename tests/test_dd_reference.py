@@ -14,25 +14,18 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import (RANDOM, cached_instance, collect_lattice, permuted,
+from conftest import (RANDOM, cached_instance, collect_lattice, outcome, permuted,
                       two_variable_systems)
 from dd_reference import _incidence, reference_faces, reference_vertices
 from li2poly import faces
-from li2poly.errors import LI2PolyError, NonPointedError
+from li2poly.errors import NonPointedError
 from li2poly.model import parse_hrep
 from test_double_description import INSTANCES, lifted_systems
 
 
-def _outcome(build, p):
-    try:
-        return ("ok", build(p))
-    except LI2PolyError as exc:
-        return ("error", type(exc), str(exc))
-
-
 def _check_bits(p):
     a = faces.Analysis(p, max_work=10 ** 9)
-    assert _outcome(lambda _: a.generators, p) == _outcome(reference_vertices, p)
+    assert outcome(lambda: a.generators) == outcome(lambda: reference_vertices(p))
     assert collect_lattice(a) == sorted(
         (dim, sum(1 << i for i in tight), face)
         for face, (dim, tight) in reference_faces(a).items())
@@ -79,9 +72,9 @@ def test_matches_reference_on_lower_dimensional_systems(p):
 @RANDOM
 @given(lifted_systems())
 def test_errors_match_reference_on_systems_with_lines(p):
-    outcome = _outcome(faces.enumerate_vertices, p)
-    assert outcome[0] == "error"
-    assert outcome == _outcome(reference_vertices, p)
+    found = outcome(lambda: faces.enumerate_vertices(p))
+    assert found[0] == "error"
+    assert found == outcome(lambda: reference_vertices(p))
 
 
 # After t >= 0 and y <= 1 one line is left and the two rays share no row;
@@ -100,10 +93,10 @@ EDGE_CASES = {
 def test_join_with_lines_left(name):
     text, expected = EDGE_CASES[name]
     p = parse_hrep(text)
-    outcome = _outcome(faces.enumerate_vertices, p)
+    found = outcome(lambda: faces.enumerate_vertices(p))
     if expected == "NonPointedError":
-        assert outcome[:2] == ("error", NonPointedError)
+        assert found[:2] == ("error", NonPointedError)
     else:
-        assert len(outcome[1]) == expected
+        assert len(found[1]) == expected
         _check_bits(p)
-    assert outcome == _outcome(reference_vertices, p)
+    assert found == outcome(lambda: reference_vertices(p))

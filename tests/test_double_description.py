@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (RANDOM, SMALL, permuted, square_pyramid,
+from conftest import (RANDOM, SMALL, outcome, permuted, square_pyramid,
                       two_variable_systems, unit_square)
 from li2poly import constructors, faces, formulas
-from li2poly.errors import InfeasibleError, LI2PolyError, NonPointedError
+from li2poly.errors import InfeasibleError, NonPointedError
 from li2poly.model import Constraint, HPolytope, parse_hrep
 from fraction_linalg import vertex_points
 from lp_geometry import feasible_point
@@ -141,16 +141,9 @@ def test_kernel_reports_emptiness_before_lineality(p):
         faces.enumerate_vertices(p)
 
 
-def _outcome(query, p):
-    try:
-        return ("ok", set(query(p)))
-    except LI2PolyError as exc:
-        return ("error", type(exc), str(exc))
-
-
 def _check_redundancy(p: HPolytope) -> None:
-    assert _outcome(lambda p: faces.Analysis(p).redundant, p) == \
-        _outcome(lp_redundant_constraints, p)
+    assert outcome(lambda: set(faces.Analysis(p).redundant)) == \
+        outcome(lambda: set(lp_redundant_constraints(p)))
 
 
 def _with_rows(p: HPolytope, *rows: str) -> HPolytope:

@@ -1,6 +1,7 @@
 """Closed-form counts and bounds against frozen, independently derived values."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -156,6 +157,22 @@ def test_thm42_literal_reading_differs():
     assert thm42_bound_literal(60, 60, 4, 2) < thm42_bound(60, 60, 4, 2)
 
 
+def test_bounds_match_the_displayed_forms_on_a_grid():
+    # The package writes the deficit D = C(n',2)/C(d,2) - n' once and
+    # derives both bounds and their vacuity from it; the paper displays
+    # each one written out, as here (math.comb is 0 for n' < 2, as binom).
+    for d in range(4, 9):
+        for n in range(31):
+            for n_prime in range(n + 1):
+                share = F(comb(n_prime, 2), comb(d, 2))
+                ridge = lemma41_bound(n, n_prime, d)
+                assert ridge == comb(n, 2) - share + n_prime
+                assert (ridge >= comb(n, 2)) == (two_variable_deficit(n_prime, d) <= 0)
+                for k in range(d - 1) if n > d else ():
+                    assert thm42_bound_literal(n, n_prime, d, k) == (
+                        fk_dual_cyclic(n, d, k) - comb(d - 2, k) * (share + n_prime))
+
+
 def test_thm42_range_errors():
     with pytest.raises(ValueError):
         thm42_bound(10, 10, 3, 1)
@@ -183,22 +200,22 @@ def test_leading_terms_reject_d_below_2(d):
 
 def test_ratio_examples():
     rows = ratio_report(4, [40], 0)
-    assert rows[0].ratio == F(37, 20)
-    assert rows[0].f_dual_cyclic == 740 and rows[0].f_pstar == 400
-    assert rows[0].threshold == E_UPPER ** 2
-    assert rows[0].within_envelope
+    assert rows[0]["ratio"] == F(37, 20)
+    assert rows[0]["f_dual_cyclic"] == 740 and rows[0]["f_pstar"] == 400
+    assert rows[0]["threshold"] == E_UPPER ** 2
+    assert rows[0]["within_envelope"]
 
 
 def test_ratio_sweep_monotone_below_threshold():
     rows = ratio_report(4, range(8, 41, 4), 0)
-    ratios = [r.ratio for r in rows]
+    ratios = [r["ratio"] for r in rows]
     assert ratios == sorted(ratios)
-    assert all(r.ratio < r.threshold for r in rows)
+    assert all(r["ratio"] < r["threshold"] for r in rows)
 
 
 def test_ratio_d2_trivial():
     for row in ratio_report(2, [5, 9, 14], 0):
-        assert row.ratio == 1
+        assert row["ratio"] == 1
 
 
 def test_ratio_divisibility_propagates():

@@ -1,6 +1,9 @@
-"""The CLI's output byte for byte: each invocation's stdout and exit code are
-compared with a file under tests/golden/, and a timed document ends with its
-timing block.
+"""The CLI's output byte for byte: each invocation's stdout, stderr and exit
+code are compared with files under tests/golden/ (`<stem>.out`, and
+`<stem>.err` where stderr is not empty), and a timed document ends with its
+timing block. The failing cases are the package's own error lines;
+argparse's messages and `--help` are left out, because their wording varies
+across Python versions.
 
 After an intended change of output, rewrite the files from the repository
 root with
@@ -8,10 +11,11 @@ root with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import io
 import json
 import os
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,8 @@ INPUTS = {  # file name -> H-representation, written to the working directory
     "pstar_8_4.hrep": model.serialize_hrep(constructors.pstar(8, 4)),
     "dual_cyclic_24_6.hrep": model.serialize_hrep(constructors.dual_cyclic(24, 6)),
     "strip.hrep": "2 2\n1 0 0\n-1 0 0\n",
+    "dual_cyclic_60_7.hrep": model.serialize_hrep(constructors.dual_cyclic(60, 7)),
+    "malformed.hrep": "1 1\n1.5 2\n",
 }
 RATIO = ["report", "ratio", "--d", "4", "--k", "0", "--n-start", "8",
          "--n-end", "16", "--step", "4"]
@@ -54,6 +60,17 @@ CASES = {  # golden file stem -> (argv, exit code)
     "report_ratio_csv_decimal": (RATIO + ["--csv", "--decimal", "4"], 0),
     "report_bounds": (["report", "bounds", "--n", "12", "--n-prime", "12",
                        "--d", "6"], 0),
+    "verify_text_polygon_6": (["verify", "polygon", "--n", "6", "--no-timing"], 0),
+    "report_ratio_json_decimal": (RATIO + ["--decimal", "4"], 0),
+    # Failures: one line on stderr, nothing on stdout.
+    "usage_fvector_max_work_0": (["fvector", "--in", "pstar_8_4.hrep", "--method",
+                                  "enumerate", "--max-work", "0"], 2),
+    "fvector_over_cap": (["fvector", "--in", "dual_cyclic_60_7.hrep", "--method",
+                          "enumerate"], 3),
+    "fvector_malformed": (["fvector", "--in", "malformed.hrep", "--method",
+                           "enumerate"], 3),
+    "verify_pstar_7_4_divisibility": (["verify", "pstar", "--n", "7", "--d", "4"], 3),
+    "verify_polygon_2": (["verify", "polygon", "--n", "2"], 3),
 }
 
 
@@ -65,8 +82,8 @@ def inputs(tmp_path_factory):
     return folder
 
 
-def _golden(name: str) -> Path:
-    return GOLDEN / f"{name}.out"
+def _golden(name: str, stream: str = "out") -> Path:
+    return GOLDEN / f"{name}.{stream}"
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -75,8 +92,9 @@ def test_output_matches_golden(inputs, monkeypatch, capsys, name):
     monkeypatch.chdir(inputs)
     assert run(argv) == code
     captured = capsys.readouterr()
-    assert captured.err == ""
     assert captured.out == _golden(name).read_text(encoding="utf-8")
+    err = _golden(name, "err")
+    assert captured.err == (err.read_text(encoding="utf-8") if err.exists() else "")
 
 
 @pytest.mark.parametrize("name", ["fvector_enumerate", "hvector_repeat_3",
@@ -100,8 +118,14 @@ def _rewrite() -> None:
         here = os.getcwd()
         os.chdir(folder)
         for name, (argv, code) in CASES.items():
-            with open(_golden(name), "w", encoding="utf-8") as fh, redirect_stdout(fh):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
                 assert run(argv) == code, name
+            _golden(name).write_text(out.getvalue(), encoding="utf-8")
+            if err.getvalue():
+                _golden(name, "err").write_text(err.getvalue(), encoding="utf-8")
+            else:
+                _golden(name, "err").unlink(missing_ok=True)
         os.chdir(here)
 
 

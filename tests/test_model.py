@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import permuted
-from li2poly import constructors, formulas
+from li2poly import constructors
 from li2poly.errors import HRepParseError
 from li2poly.model import (Constraint, FamilyTag, HPolytope, LI2Profile,
                            li2_profile, parse_hrep, serialize_hrep)
@@ -205,8 +205,6 @@ def test_polytope_validates_dimension_and_row_widths():
     (Constraint, ("coeffs", "rhs")),
     (HPolytope, ("dim", "constraints", "family")),
     (LI2Profile, ("is_li2", "n_prime", "pair_counts", "single_var_count")),
-    (formulas.RatioRow, ("n", "f_dual_cyclic", "f_pstar", "ratio", "threshold",
-                         "residue", "within_envelope")),
 ], ids=lambda x: x.__name__ if isinstance(x, type) else "")
 def test_records_keep_positional_fields(record, fields):
     assert record._fields == fields

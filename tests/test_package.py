@@ -67,9 +67,11 @@ def test_queries_have_one_handle_over_integer_generators():
     for name in ("Fraction", "Constraint", "_in_cone"):  # redundancy runs the kernel again
         assert not hasattr(faces, name), name
     # The bound and h checks return plain values, and a row carries no label.
+    # A ratio row is a dict, so formulas needs no record type.
     for module, name in ((formulas, "BoundReport"), (formulas, "ridge_bound_report"),
                          (formulas, "separation_bound_reports"),
-                         (hvector, "UbtEntry"), (hvector, "UbtComparison")):
+                         (hvector, "UbtEntry"), (hvector, "UbtComparison"),
+                         (formulas, "RatioRow"), (formulas, "NamedTuple")):
         assert not hasattr(module, name) and not hasattr(li2poly, name), name
     assert "label" not in model.Constraint._fields
     assert not hasattr(hvector, "f_from_h")
