@@ -9,8 +9,8 @@ imports constructors, formulas and hvector only if it runs them.
 Machine output goes to stdout, human-readable errors to stderr.
 
 Exit codes: 0 success (and, for verify, all checks pass), 1 a verification
-check failed, 2 usage error, 3 input error (infeasible, unbounded where
-boundedness is required, divisibility violation, size cap exceeded), 4
+check failed, 2 usage error, 3 rejected input (any ValueError: infeasible,
+unbounded, not simple, divisibility, size cap) or unwritable output, 4
 internal error (a failed invariant, i.e. a bug; one line on stderr), 141
 the reader closed stdout early (128 + SIGPIPE; nothing on stderr).
 
@@ -398,7 +398,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except AssertionError as exc:
@@ -411,12 +411,16 @@ def main() -> None:
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader left early. With fd 1 on the null device the exit flush
-        # cannot raise again; exit quietly with 128 + SIGPIPE, as a shell would.
+    except OSError as exc:
+        # With fd 1 on the null device the exit flush cannot raise again. A
+        # closed pipe exits quietly with 128 + SIGPIPE, as a shell would.
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
+        if isinstance(exc, BrokenPipeError):
+            code = 141
+        else:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            code = 3
     sys.exit(code)
 
 

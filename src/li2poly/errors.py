@@ -1,15 +1,8 @@
-"""Exception types shared across the package.
-
-Everything that rejects an *input* (as opposed to a usage bug) derives from
-InputError so the command line layer can map it to a single exit code.
-"""
+"""Exception types shared across the package: every rejected input is a
+ValueError, and a subclass exists only where a caller tells it apart."""
 
 
-class LI2PolyError(Exception):
-    """Base class for all package errors."""
-
-
-class InputError(LI2PolyError):
+class InputError(ValueError):
     """A well-formed call was made on input data we must reject."""
 
 
@@ -23,33 +16,5 @@ class HRepParseError(InputError):
         super().__init__(message)
 
 
-class DivisibilityError(InputError):
-    """Constructor parameters violate the divisibility assumption."""
-
-
-class InfeasibleError(InputError):
-    """The inequality system has no solution."""
-
-
-class UnboundedInputError(InputError):
-    """A bounded polytope was required but the input is unbounded."""
-
-
 class NonPointedError(InputError):
     """The polyhedron has a nonzero lineality space (no vertices)."""
-
-
-class RedundantInputError(InputError):
-    """A nonredundant system was required but redundant rows are present."""
-
-
-class NotSimpleError(InputError):
-    """A simple polytope was required (vertices on exactly d facets)."""
-
-
-class CapExceededError(InputError):
-    """faces.check_caps's work estimate is over budget; raise it with --max-work."""
-
-
-class GenericObjectiveError(InputError):
-    """Could not draw a tie-free objective within the redraw limit."""

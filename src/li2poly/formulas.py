@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DivisibilityError
-
 # Rational over-approximation of e, documented threshold base: e < 2.7183.
 E_UPPER = Fraction(27183, 10000)
 # Multiplier on the envelope that ratio_report's pass flag allows.
@@ -35,8 +33,10 @@ def fk_dual_cyclic(n: int, d: int, k: int) -> int:
     result provably collapses to C(n, d-k) (any d-k rows meet in a k-face),
     which is asserted as an internal consistency check.
     """
-    if not (0 <= k <= d < n):
-        raise ValueError(f"need 0 <= k <= d < n, got n={n} d={d} k={k}")
+    if not (0 <= k <= d):
+        raise ValueError(f"need 0 <= k <= d, got d={d} k={k}")
+    if n <= d:
+        raise ValueError(f"c*(n, d) needs n > d, got n={n} d={d}")
     half_up = -(-d // 2)
     total = 0
     for r in range(min(k, half_up), half_up):
@@ -64,16 +64,16 @@ def pstar_polygon_size(n: int, d: int) -> int:
     half = d // 2
     if d % 2 == 0:
         if n % half != 0:
-            raise DivisibilityError(
+            raise ValueError(
                 f"floor(d/2) = {half} must be a divisor of n = {n} when d is even")
         m = n // half
     else:
         if (n - 1) % half != 0:
-            raise DivisibilityError(
+            raise ValueError(
                 f"floor(d/2) = {half} must be a divisor of n-1 = {n - 1} when d is odd")
         m = (n - 1) // half
     if m < 3:
-        raise DivisibilityError(
+        raise ValueError(
             f"polygon size {m} < 3: each coordinate pair needs a polygon")
     return m
 

@@ -17,7 +17,7 @@ import random
 from math import comb
 from typing import Sequence
 
-from .errors import GenericObjectiveError, NotSimpleError
+from .errors import InputError
 from .faces import Analysis, IntVec, dual_cyclic_h
 
 HVector = tuple[int, ...]
@@ -54,8 +54,7 @@ def orient_edges(vertices: list[IntVec], edges: list[tuple[int, int]], seed: int
             continue
         return [(u, v) if su < sv else (v, u)
                 for (u, v), (su, sv) in zip(edges, cross)]
-    raise GenericObjectiveError(
-        f"no tie-free objective within {_REDRAW_LIMIT} redraws")
+    raise InputError(f"no tie-free objective within {_REDRAW_LIMIT} redraws")
 
 
 def indegree_hvector(a: Analysis, seed: int) -> HVector:
@@ -65,9 +64,9 @@ def indegree_hvector(a: Analysis, seed: int) -> HVector:
     the same for every generic objective.
     """
     if not a.bounded:
-        raise NotSimpleError("indegree histogram requires a bounded polytope")
+        raise InputError("indegree histogram requires a bounded polytope")
     if not a.simple:
-        raise NotSimpleError(
+        raise InputError(
             "indegree histogram requires a simple polytope "
             "(every vertex on exactly d rows)")
     vertices = [g for g, _ in a.generators]  # bounded: every generator is a vertex
@@ -92,6 +91,6 @@ def strengthened_ubt_check(a: Analysis) -> bool:
     face counts include unbounded faces.
     """
     if not a.simple:
-        raise NotSimpleError("the h comparison assumes a simple polytope")
+        raise InputError("the h comparison assumes a simple polytope")
     return all(hp <= hc for hp, hc in zip(h_from_f(a.f_vector),
                                           dual_cyclic_h(a.p.n, a.p.dim)))

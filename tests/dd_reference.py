@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from li2poly.errors import InfeasibleError, NonPointedError
+from li2poly.errors import InputError, NonPointedError
 from li2poly.model import HPolytope
 
 
@@ -87,7 +87,7 @@ def reference_vertices(p: HPolytope):
             rays, zeros = new_rays, new_zeros
         seen |= bit
     if not any(r[-1] for r in rays):
-        raise InfeasibleError("polyhedron is empty")
+        raise InputError("polyhedron is empty")
     if lines:
         raise NonPointedError(
             "row rank below the ambient dimension: nonzero lineality space")

@@ -8,7 +8,7 @@ answers off the double-description incidences, are checked against.
 
 from __future__ import annotations
 
-from li2poly.errors import InfeasibleError, UnboundedInputError
+from li2poly.errors import InputError
 from li2poly.model import HPolytope
 from fraction_linalg import ONE, ZERO, Vec, rows_of
 from lp_simplex import OPTIMAL, max_min_slack, solve_lp_max
@@ -29,10 +29,10 @@ def is_bounded(p: HPolytope) -> bool:
     over the recession cone, each capped at 1 along its own objective
     direction so the program stays bounded; a cone direction with nonzero
     i-th coordinate scales into one of the capped programs with positive
-    value. Raises InfeasibleError on an empty polyhedron.
+    value. Raises InputError on an empty polyhedron.
     """
     if feasible_point(p) is None:
-        raise InfeasibleError("polyhedron is empty")
+        raise InputError("polyhedron is empty")
     rows = rows_of(p)
     rhs = [ZERO] * p.n
     for i in range(p.dim):
@@ -54,10 +54,10 @@ def redundant_constraints(p: HPolytope) -> set[int]:
     other (still active) rows cannot exceed its right-hand side. Rows are
     scanned from the highest index down, so among duplicates the lowest
     index is the one kept. Requires a feasible bounded input; is_bounded
-    raises InfeasibleError on an empty one.
+    raises InputError on an empty one.
     """
     if not is_bounded(p):
-        raise UnboundedInputError("redundancy scan requires a bounded polytope")
+        raise InputError("redundancy scan requires a bounded polytope")
     active = list(range(p.n))
     redundant: set[int] = set()
     for i in reversed(range(p.n)):

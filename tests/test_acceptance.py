@@ -23,7 +23,7 @@ from math import comb
 from conftest import (cached_analysis, cached_f_vector, cached_instance,
                       permuted, unit_square)
 from li2poly import cli, constructors, faces, formulas, hvector
-from li2poly.errors import RedundantInputError
+from li2poly.errors import InputError
 from li2poly.model import HPolytope
 
 
@@ -205,8 +205,9 @@ def test_criterion_9_robustness(capsys):
     try:
         faces.Analysis(duplicated).facet_adjacency_count
         ok = False
-    except RedundantInputError:
-        pass
+    except InputError as exc:
+        ok &= str(exc) == ("rows [4] are redundant; adjacency counts need a "
+                           "nonredundant system")
 
     rng = random.Random(99)
     for p in (constructors.pstar(8, 4), constructors.dual_cyclic(6, 3),

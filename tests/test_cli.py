@@ -344,6 +344,24 @@ def test_a_reader_that_closes_stdout_early_gets_exit_141(tmp_path):
     proc.stderr.close()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["verify", "pstar", "--n", "8", "--d", "4", "--json", "--no-timing"],
+    ["report", "ratio", "--d", "4", "--k", "0", "--n-start", "8", "--n-end", "16",
+     "--step", "4"],
+    ["construct", "pstar", "--n", "8", "--d", "4"],
+], ids=["verify", "report_ratio", "construct"])
+def test_a_full_stdout_gets_one_error_line_and_exit_3(tmp_path, argv):
+    # Output that cannot be written is no failed check (exit 1) and no
+    # traceback: one line on stderr and exit 3, as for `construct --out`.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "li2poly.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == b"error: cannot write output: [Errno 28] No space left on device\n"
+
+
 def test_report_bounds(capsys):
     code, doc = run_json(capsys, ["report", "bounds", "--n", "12",
                                   "--n-prime", "12", "--d", "6"])
@@ -374,7 +392,7 @@ def test_report_bounds(capsys):
 
 
 @pytest.mark.parametrize("n, n_prime, message", [
-    (3, 0, "need 0 <= k <= d < n, got n=3 d=4 k=0"),
+    (3, 0, "c*(n, d) needs n > d, got n=3 d=4"),
     (12, 13, "need 0 <= n_prime <= n"),
 ])
 def test_report_bounds_out_of_range_exits_3(capsys, n, n_prime, message):
@@ -383,6 +401,18 @@ def test_report_bounds_out_of_range_exits_3(capsys, n, n_prime, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--n", "12", "--n-prime", "12", "--d", "400"],
+     "c*(n, d) needs n > d, got n=12 d=400"),
+    (["ratio", "--d", "4", "--k", "0", "--n-start", "2", "--n-end", "8", "--step", "2"],
+     "c*(n, d) needs n > d, got n=2 d=4"),
+], ids=["bounds_d_400", "ratio_n_start_2"])
+def test_report_without_more_rows_than_dimensions_exits_3(capsys, argv, message):
+    # The dual cyclic count names n and d, which both reports take.
+    assert run(["report", *argv]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])

@@ -5,7 +5,6 @@ import pytest
 from conftest import collect_lattice
 from li2poly import constructors, faces, model
 from li2poly.cli import run
-from li2poly.errors import DivisibilityError
 from fraction_linalg import ZERO, slack, vertex_points
 from lp_geometry import is_bounded
 
@@ -85,11 +84,14 @@ def test_pstar_odd_is_pointed_with_base_vertices():
 
 
 def test_pstar_divisibility_errors():
-    with pytest.raises(DivisibilityError, match="divisor of n"):
+    with pytest.raises(ValueError, match=r"^floor\(d/2\) = 3 must be a divisor "
+                                         r"of n = 10 when d is even$"):
         constructors.pstar(10, 6)
-    with pytest.raises(DivisibilityError, match="divisor of n-1"):
+    with pytest.raises(ValueError, match=r"^floor\(d/2\) = 3 must be a divisor "
+                                         r"of n-1 = 11 when d is odd$"):
         constructors.pstar(12, 7)
-    with pytest.raises(DivisibilityError):
+    with pytest.raises(ValueError,
+                       match=r"^polygon size 2 < 3: each coordinate pair needs a polygon$"):
         constructors.pstar(4, 4)  # 2-gons are not polygons
 
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import (RANDOM, SMALL, outcome, permuted, square_pyramid,
                       two_variable_systems, unit_square)
 from li2poly import constructors, faces, formulas
-from li2poly.errors import InfeasibleError, NonPointedError
+from li2poly.errors import InputError, NonPointedError
 from li2poly.model import Constraint, HPolytope, parse_hrep
 from fraction_linalg import vertex_points
 from lp_geometry import feasible_point
@@ -136,8 +136,12 @@ def lifted_systems(draw) -> HPolytope:
 @RANDOM
 @given(lifted_systems())
 def test_kernel_reports_emptiness_before_lineality(p):
-    expected = InfeasibleError if feasible_point(p) is None else NonPointedError
-    with pytest.raises(expected):
+    if feasible_point(p) is None:
+        error, message = InputError, "^polyhedron is empty$"
+    else:
+        error, message = NonPointedError, ("^row rank below the ambient dimension: "
+                                           "nonzero lineality space$")
+    with pytest.raises(error, match=message):
         faces.enumerate_vertices(p)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from leading_terms import leading_terms
 from li2poly import formulas
-from li2poly.errors import DivisibilityError
 from li2poly.formulas import (E_UPPER, binom, dual_cyclic_f_vector,
                               fk_dual_cyclic, fk_pstar, gale_evenness_facet_count,
                               lemma41_bound, pstar_f_vector, ratio_report,
@@ -49,9 +48,9 @@ def test_fk_dual_cyclic_simplification_range():
 
 
 def test_fk_dual_cyclic_range_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^c\*\(n, d\) needs n > d, got n=6 d=6$"):
         fk_dual_cyclic(6, 6, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 0 <= k <= d, got d=4 k=5$"):
         fk_dual_cyclic(8, 4, 5)
 
 
@@ -65,9 +64,11 @@ def test_fk_pstar_frozen_values():
 
 
 def test_fk_pstar_divisibility():
-    with pytest.raises(DivisibilityError):
+    with pytest.raises(ValueError, match=r"^floor\(d/2\) = 3 must be a divisor "
+                                         r"of n = 10 when d is even$"):
         fk_pstar(10, 6, 0)
-    with pytest.raises(DivisibilityError):
+    with pytest.raises(ValueError, match=r"^floor\(d/2\) = 3 must be a divisor "
+                                         r"of n-1 = 11 when d is odd$"):
         fk_pstar(12, 7, 0)
 
 
@@ -219,7 +220,8 @@ def test_ratio_d2_trivial():
 
 
 def test_ratio_divisibility_propagates():
-    with pytest.raises(DivisibilityError):
+    with pytest.raises(ValueError, match=r"^floor\(d/2\) = 3 must be a divisor "
+                                         r"of n = 10 when d is even$"):
         ratio_report(6, [10], 0)
 
 

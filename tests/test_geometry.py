@@ -8,7 +8,7 @@ import pytest
 from conftest import square_pyramid
 from fraction_linalg import contains, slack, tight_at
 from li2poly import constructors
-from li2poly.errors import InfeasibleError, UnboundedInputError
+from li2poly.errors import InputError
 from li2poly.model import Constraint, HPolytope, parse_hrep
 from lp_geometry import feasible_point, is_bounded, redundant_constraints
 from lp_oracle import relative_interior_point
@@ -61,7 +61,7 @@ def test_is_bounded_pstar_even_and_odd():
 
 def test_is_bounded_requires_nonempty():
     empty = parse_hrep("2 1\n1 -2\n-1 1")
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InputError, match=r"^polyhedron is empty$"):
         is_bounded(empty)
 
 
@@ -87,13 +87,13 @@ def test_constructors_are_nonredundant():
 
 
 def test_redundancy_rejects_unbounded():
-    with pytest.raises(UnboundedInputError):
+    with pytest.raises(InputError, match=r"^redundancy scan requires a bounded polytope$"):
         redundant_constraints(constructors.pstar(13, 7))
 
 
 def test_redundancy_rejects_infeasible():
     empty = parse_hrep("2 1\n1 -2\n-1 1")
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InputError, match=r"^polyhedron is empty$"):
         redundant_constraints(empty)
 
 

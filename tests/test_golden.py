@@ -30,6 +30,9 @@ INPUTS = {  # file name -> H-representation, written to the working directory
     "strip.hrep": "2 2\n1 0 0\n-1 0 0\n",
     "dual_cyclic_60_7.hrep": model.serialize_hrep(constructors.dual_cyclic(60, 7)),
     "malformed.hrep": "1 1\n1.5 2\n",
+    "empty.hrep": "2 1\n1 -2\n-1 1\n",
+    "square_pyramid.hrep": "5 3\n0 0 -1 0\n1 0 1 1\n-1 0 1 1\n0 1 1 1\n0 -1 1 1\n",
+    "pstar_7_3.hrep": model.serialize_hrep(constructors.pstar(7, 3)),
 }
 RATIO = ["report", "ratio", "--d", "4", "--k", "0", "--n-start", "8",
          "--n-end", "16", "--step", "4"]
@@ -55,6 +58,7 @@ CASES = {  # golden file stem -> (argv, exit code)
                                "--no-timing"], 1),
     "profile_dual_cyclic_24_6": (["profile", "--in", "dual_cyclic_24_6.hrep"], 0),
     "profile_strip": (["profile", "--in", "strip.hrep"], 3),
+    "profile_pstar_7_3": (["profile", "--in", "pstar_7_3.hrep"], 3),
     "report_ratio_json": (RATIO, 0),
     "report_ratio_csv": (RATIO + ["--csv"], 0),
     "report_ratio_csv_decimal": (RATIO + ["--csv", "--decimal", "4"], 0),
@@ -71,6 +75,11 @@ CASES = {  # golden file stem -> (argv, exit code)
                            "enumerate"], 3),
     "verify_pstar_7_4_divisibility": (["verify", "pstar", "--n", "7", "--d", "4"], 3),
     "verify_polygon_2": (["verify", "polygon", "--n", "2"], 3),
+    "fvector_empty": (["fvector", "--in", "empty.hrep", "--method", "enumerate"], 3),
+    "hvector_square_pyramid": (["hvector", "--in", "square_pyramid.hrep",
+                                "--seed", "0"], 3),
+    "hvector_pstar_7_3": (["hvector", "--in", "pstar_7_3.hrep", "--seed", "0"], 3),
+    "verify_pstar_2000_1000": (["verify", "pstar", "--n", "2000", "--d", "1000"], 3),
 }
 
 

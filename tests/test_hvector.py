@@ -15,7 +15,7 @@ from conftest import (RANDOM, cached_analysis, cached_f_vector, collect_lattice,
                       simplex3, square_pyramid, two_variable_systems,
                       unit_square)
 from li2poly import constructors, faces, hvector
-from li2poly.errors import GenericObjectiveError, NotSimpleError
+from li2poly.errors import InputError
 from li2poly.model import parse_hrep
 from fraction_linalg import ZERO, dot, vertex_points
 
@@ -64,12 +64,13 @@ def test_indegree_pstar_12_6():
 
 
 def test_indegree_rejects_non_simple():
-    with pytest.raises(NotSimpleError):
+    with pytest.raises(InputError, match=r"^indegree histogram requires a simple polytope "
+                       r"\(every vertex on exactly d rows\)$"):
         hvector.indegree_hvector(faces.Analysis(square_pyramid()), 0)
 
 
 def test_indegree_rejects_unbounded():
-    with pytest.raises(NotSimpleError):
+    with pytest.raises(InputError, match="^indegree histogram requires a bounded polytope$"):
         hvector.indegree_hvector(faces.Analysis(constructors.pstar(7, 3)), 0)
 
 
@@ -87,7 +88,7 @@ def fraction_orient_edges(points, edges, seed):
         if any(values[u] == values[v] for u, v in edges):
             continue
         return c, [(u, v) if values[u] < values[v] else (v, u) for u, v in edges]
-    raise GenericObjectiveError("no tie-free objective")
+    raise InputError(f"no tie-free objective within {hvector._REDRAW_LIMIT} redraws")
 
 
 def _check_orientation_matches_fraction_reference(analysis, seeds):
@@ -97,12 +98,12 @@ def _check_orientation_matches_fraction_reference(analysis, seeds):
     for seed in seeds:
         try:
             expected = ("ok", fraction_orient_edges(points, edges, seed)[1])
-        except GenericObjectiveError:
-            expected = ("tie",)
+        except InputError as exc:
+            expected = ("tie", str(exc))
         try:
             got = ("ok", hvector.orient_edges(vertices, edges, seed))
-        except GenericObjectiveError:
-            got = ("tie",)
+        except InputError as exc:
+            got = ("tie", str(exc))
         assert got == expected, seed
 
 
@@ -128,11 +129,11 @@ def test_integer_orientation_matches_fraction_reference_on_random_systems(p):
 def test_orient_edges_redraw_limit():
     # Coincident endpoints tie under every objective, whatever the scale of
     # their homogeneous vectors, and so they do in the Fraction reference.
-    with pytest.raises(GenericObjectiveError):
+    with pytest.raises(InputError, match="^no tie-free objective within 64 redraws$"):
         fraction_orient_edges([(ZERO, ZERO), (ZERO, ZERO)], [(0, 1)], seed=0)
     for vertices in ([(0, 0, 1), (0, 0, 1)], [(1, 1), (2, 2)],
                      [(3, -1, 2), (6, -2, 4)]):
-        with pytest.raises(GenericObjectiveError):
+        with pytest.raises(InputError, match="^no tie-free objective within 64 redraws$"):
             hvector.orient_edges(vertices, [(0, 1)], seed=0)
 
 
@@ -201,7 +202,7 @@ def test_ubt_prism_attains_d3_bound():
 
 
 def test_ubt_rejects_non_simple():
-    with pytest.raises(NotSimpleError):
+    with pytest.raises(InputError, match="^the h comparison assumes a simple polytope$"):
         hvector.strengthened_ubt_check(faces.Analysis(square_pyramid()))
 
 

@@ -77,6 +77,34 @@ def test_queries_have_one_handle_over_integer_generators():
     assert not hasattr(hvector, "f_from_h")
 
 
+RETIRED_ERRORS = ("LI2PolyError", "DivisibilityError", "InfeasibleError",
+                  "UnboundedInputError", "RedundantInputError", "NotSimpleError",
+                  "CapExceededError", "GenericObjectiveError")
+
+
+def test_an_error_type_is_one_that_some_caller_tells_apart():
+    # Every rejected input is a ValueError, one exit code in the CLI. A
+    # subclass stays only while src/ raises or catches it by name.
+    from li2poly import errors
+    defined = sorted(name for name, value in vars(errors).items()
+                     if isinstance(value, type) and value.__module__ == errors.__name__)
+    assert defined == ["HRepParseError", "InputError", "NonPointedError"]
+    assert issubclass(errors.InputError, ValueError)
+    assert all(issubclass(getattr(errors, name), errors.InputError) for name in defined)
+    named = set()
+    for path in (ROOT / "src" / "li2poly").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                named |= {exc.id} if isinstance(exc, ast.Name) else set()
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                named |= {t.id for t in types if isinstance(t, ast.Name)}
+    assert set(defined) <= named, set(defined) - named
+    for name in RETIRED_ERRORS:
+        assert not hasattr(errors, name) and not hasattr(li2poly, name), name
+
+
 def test_lazy_exports_keep_the_public_surface():
     for name in li2poly.__all__:
         home = importlib.import_module(f"li2poly.{li2poly._HOME[name]}")
