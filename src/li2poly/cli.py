@@ -280,15 +280,13 @@ def cmd_report_ratio(args) -> int:
             whole, rest = divmod(row["ratio"] * 10 ** places // 1, 10 ** places)
             row["ratio_decimal"] = f"{whole}.{rest:0{places}d}" if places else str(whole)
     if args.csv:
-        columns = [name for name in rows[0] if name != "residue"]
-        print(",".join(columns))
+        print(",".join(rows[0]))
         for row in rows:
-            print(",".join(str(row[name]).lower() for name in columns))
+            print(",".join(str(value).lower() for value in row.values()))
         return 0
     _emit("report-ratio", {
         "d": args.d,
         "k": args.k,
-        "envelope_slack": formulas.ENVELOPE_SLACK,
         # Each row's fields in order: ints and bools as they are, the rest as strings.
         "rows": [{name: value if isinstance(value, int) else str(value)
                   for name, value in row.items()} for row in rows],

@@ -352,23 +352,19 @@ def redundant_rows(a: Analysis) -> frozenset[int]:
     This is the builder behind Analysis.redundant. Rows are scanned from
     the highest index down and each redundant one is dropped before the
     next is tested, so the remaining rows always cut out P and, among
-    duplicates, the lowest index is kept. E, the rows tight at every
-    vertex, are the implicit equalities. One of them is redundant iff the
-    kernel run on the other remaining rows returns P's generators again,
-    which is the definition: a new vertex or ray means the row was needed.
-    That system holds P, so it is nonempty, and it is pointed: a nonzero v
+    duplicates, the lowest index is kept. The rows tight at every vertex
+    are the implicit equalities. One of them is redundant iff the kernel
+    run on the other remaining rows returns P's generators again, which
+    is the definition: a new vertex or ray means the row was needed. That
+    system holds P, so it is nonempty, and it is pointed: a nonzero v
     orthogonal to every other normal, with a_i.v <= 0 after a sign flip,
-    would be a recession direction of the bounded P. The rule is Farkas'
-    "its normal lies in the cone of the other remaining normals of E": a
-    certificate a_i = sum l_j a_j, b_i >= sum l_j b_j, l >= 0 that the
-    others imply row i, evaluated at a relative-interior point of P, where
-    rows outside E have positive slack, puts no weight outside E.
-    Any other row is redundant iff it is tight at no vertex, or its face is
-    not a facet, or an active row is tight at exactly the same vertices.
-    Every row's bitset is a face and the facets are the maximal proper
-    faces, so the face is a facet iff no row's bitset lies strictly between
-    it and all vertices. Requires a nonempty bounded polytope; the empty
-    one raises InputError.
+    would be a recession direction of the bounded P. Any other row is
+    redundant iff it is tight at no vertex, or its face is not a facet, or
+    an active row is tight at exactly the same vertices. Every row's
+    bitset is a face and the facets are the maximal proper faces, so the
+    face is a facet iff no row's bitset lies strictly between it and all
+    vertices. Requires a nonempty bounded polytope; the empty one raises
+    InputError.
     """
     p = a.p
     unbounded = InputError("redundancy scan requires a bounded polytope")

@@ -4,7 +4,7 @@ Everything here is pure arithmetic on exact rationals and integers.
 Binomials with out-of-range arguments evaluate to zero, which makes every
 sum below self-truncating at exactly the intended ranges. Bounds stay
 exact rationals and are never floored; comparisons against integer counts
-are rational comparisons.
+are rational comparisons, and f_k(c*)/f_k(P*) meets its exact limit in n.
 """
 
 from __future__ import annotations
@@ -12,11 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-
-# Rational over-approximation of e, documented threshold base: e < 2.7183.
-E_UPPER = Fraction(27183, 10000)
-# Multiplier on the envelope that ratio_report's pass flag allows.
-ENVELOPE_SLACK = 8
 
 
 def binom(a: int, b: int) -> int:
@@ -178,26 +173,36 @@ def thm42_bound_literal(n: int, n_prime: int, d: int, k: int) -> Fraction:
             - binom(d - 2, k) * (two_variable_deficit(n_prime, d) + 2 * n_prime))
 
 
-def ratio_report(d: int, n_list, k: int) -> list[dict]:
-    """Exact ratios f_k(c*)/f_k(P*) against the exponential threshold.
+def ratio_limit(d: int, k: int) -> Fraction:
+    """L = lim_{n -> oo} f_k(c*(n,d)) / f_k(P*(n,d)): both counts are
+    polynomials in n of one degree e, and L is their leading coefficients'
+    ratio. With m = floor(d/2):
 
-    The threshold is E_UPPER^floor(d/2) for k < ceil(d/2) and E_UPPER^(d-k)
-    above, a rational over-approximation of the exponential envelope. The
-    polynomial factor in front of the envelope is not pinned down, so the
-    pass flag allows the fixed multiplier ENVELOPE_SLACK = 8 and the
-    residue ratio/threshold records the observed polynomial content.
+    k <= m, e = m. P* leads with C(m,k) (n/m)^m, C(m+1,k) (n/m)^m for odd d
+    (k factors give an edge and the rest a vertex, the half-line x_d >= 0
+    being a factor). fk_dual_cyclic's summands r = m, and r = m+1 for odd
+    d, lead with C(m,k) n^m/m! and C(m+1,k) n^m/m!. So L = m^m/m!, times
+    1 + C(m,k)/C(m+1,k) = 2 - k/(m+1) for odd d.
+    k > m, e = d-k. c* leads with C(n,d-k) ~ n^(d-k)/(d-k)!, P* with
+    C(m,d-k) (n/m)^(d-k), an edge of d-k factors: L = m^(d-k) (m-(d-k))!/m!.
     """
-    half_up = -(-d // 2)
-    exponent = d // 2 if k < half_up else d - k
-    threshold = E_UPPER ** exponent
+    if d < 2 or not 0 <= k <= d:
+        raise ValueError(f"need d >= 2 and 0 <= k <= d, got d={d} k={k}")
+    m = d // 2
+    if k > m:
+        return Fraction(m ** (d - k) * math.factorial(m - (d - k)), math.factorial(m))
+    limit = Fraction(m ** m, math.factorial(m))
+    return limit if d % 2 == 0 else (2 - Fraction(k, m + 1)) * limit
+
+
+def ratio_report(d: int, n_list, k: int) -> list[dict]:
+    """Exact ratios f_k(c*)/f_k(P*), each with limit = ratio_limit(d, k)."""
     rows = []
     for n in n_list:
-        fc = fk_dual_cyclic(n, d, k)
-        fp = fk_pstar(n, d, k)
-        ratio = Fraction(fc, fp)
+        fc, fp = fk_dual_cyclic(n, d, k), fk_pstar(n, d, k)
+        ratio, limit = Fraction(fc, fp), ratio_limit(d, k)
         rows.append({"n": n, "f_dual_cyclic": fc, "f_pstar": fp, "ratio": ratio,
-                     "threshold": threshold, "residue": ratio / threshold,
-                     "within_envelope": ratio <= ENVELOPE_SLACK * threshold})
+                     "limit": limit, "within_limit": ratio <= limit})
     return rows
 
 

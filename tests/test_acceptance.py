@@ -187,13 +187,13 @@ def test_criterion_7_gale_evenness_oracle():
     assert _report(7, "Gale evenness facet oracle", ok)
 
 
-def test_criterion_8_ratio_envelope():
-    rows = formulas.ratio_report(4, range(8, 41, 4), 0)
+def test_criterion_8_ratio_limit():
+    rows = formulas.ratio_report(4, range(8, 41, 2), 0)
     ratios = [r["ratio"] for r in rows]
     ok = ratios == sorted(ratios)
-    ok &= all(r["ratio"] <= Fraction(739, 100) for r in rows)
-    ok &= all(r["ratio"] <= r["threshold"] for r in rows)
-    assert _report(8, "ratio monotone within e^2 envelope", ok)
+    ok &= formulas.ratio_limit(4, 0) == 2
+    ok &= all(r["ratio"] < 2 for r in rows)
+    assert _report(8, "ratio monotone below its limit 2", ok)
 
 
 def test_criterion_9_robustness(capsys):

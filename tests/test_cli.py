@@ -302,7 +302,7 @@ def test_report_ratio_csv(capsys):
     assert run(["report", "ratio", "--d", "4", "--k", "0", "--n-start", "8",
                 "--n-end", "16", "--step", "4", "--csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("n,f_dual_cyclic,f_pstar,ratio,threshold")
+    assert lines[0] == "n,f_dual_cyclic,f_pstar,ratio,limit,within_limit"
     assert len(lines) == 4
     assert lines[1].split(",")[3] == "5/4"
 
@@ -319,7 +319,9 @@ def test_report_ratio_json(capsys):
                                   "--n-start", "8", "--n-end", "12", "--step", "2"])
     assert code == 0
     assert [row["n"] for row in doc["rows"]] == [8, 10, 12]
-    assert doc["rows"][0]["within_envelope"] is True
+    # At k = d-1 both counts are n, so the ratio sits on its limit 1.
+    assert all(row["ratio"] == row["limit"] == "1" and row["within_limit"] is True
+               for row in doc["rows"])
 
 
 def test_report_ratio_divisibility_exits_3(capsys):

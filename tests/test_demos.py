@@ -25,6 +25,16 @@ DEMO_LINES = {
         "the prism attains the d=3 histogram exactly:\n"
         "  h_0: 1 vs 1\n  h_1: 5 vs 5\n  h_2: 5 vs 5\n  h_3: 1 vs 1\n"),
     "04_separation_bounds": (
+        "vertex-count ratios at d=4 against its limit 2 as n grows:\n"
+        "  n= 8  c*:   20  P*:   16  ratio    5/4  (limit 2)\n"
+        "  n=12  c*:   54  P*:   36  ratio    3/2  (limit 2)\n"
+        "  n=16  c*:  104  P*:   64  ratio   13/8  (limit 2)\n"
+        "  n=20  c*:  170  P*:  100  ratio  17/10  (limit 2)\n"
+        "  n=24  c*:  252  P*:  144  ratio    7/4  (limit 2)\n"
+        "  n=28  c*:  350  P*:  196  ratio  25/14  (limit 2)\n"
+        "  n=32  c*:  464  P*:  256  ratio  29/16  (limit 2)\n"
+        "  n=36  c*:  594  P*:  324  ratio   11/6  (limit 2)\n"
+        "  n=40  c*:  740  P*:  400  ratio  37/20  (limit 2)\n",
         "per-k separation bounds at n=60, n'=60, d=4 (deficit 235):\n"
         "  f_0_bound: f_k <= 1475\n  f_1_bound: f_k <= 2950\n"
         "  f_2_bound: f_k <= 1535\n",),

@@ -1,15 +1,15 @@
 """Closed-form counts and bounds against frozen, independently derived values."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from leading_terms import leading_terms
 from li2poly import formulas
-from li2poly.formulas import (E_UPPER, binom, dual_cyclic_f_vector,
-                              fk_dual_cyclic, fk_pstar, gale_evenness_facet_count,
-                              lemma41_bound, pstar_f_vector, ratio_report,
+from li2poly.formulas import (binom, dual_cyclic_f_vector, fk_dual_cyclic, fk_pstar,
+                              gale_evenness_facet_count, lemma41_bound,
+                              pstar_f_vector, ratio_limit, ratio_report,
                               thm42_bound, thm42_bound_literal, two_variable_deficit)
 
 F = Fraction
@@ -203,15 +203,56 @@ def test_ratio_examples():
     rows = ratio_report(4, [40], 0)
     assert rows[0]["ratio"] == F(37, 20)
     assert rows[0]["f_dual_cyclic"] == 740 and rows[0]["f_pstar"] == 400
-    assert rows[0]["threshold"] == E_UPPER ** 2
-    assert rows[0]["within_envelope"]
+    assert list(rows[0]) == ["n", "f_dual_cyclic", "f_pstar", "ratio", "limit",
+                             "within_limit"]
+    assert rows[0]["limit"] == 2 and rows[0]["within_limit"]
+    assert ratio_report(5, [9], 2)[0]["limit"] == F(8, 3)
 
 
-def test_ratio_sweep_monotone_below_threshold():
+def test_ratio_sweep_monotone_below_limit():
     rows = ratio_report(4, range(8, 41, 4), 0)
     ratios = [r["ratio"] for r in rows]
     assert ratios == sorted(ratios)
-    assert all(r["ratio"] < r["threshold"] for r in rows)
+    assert all(r["ratio"] < r["limit"] == 2 for r in rows)
+
+
+def _leading_coefficient(values: list) -> Fraction:
+    """The leading coefficient of a degree-e polynomial from its values at
+    e+1 consecutive integers: the e-th finite difference over e!."""
+    e = len(values) - 1
+    diff = sum((-1) ** (e - j) * comb(e, j) * v for j, v in enumerate(values))
+    return F(diff, factorial(e))
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_ratio_limit_is_the_leading_term_ratio(d):
+    for k in range(d + 1):
+        e = d // 2 if k <= d // 2 else d - k
+        table = [leading_terms(n, d, k) for n in range(d + 1, d + 2 + e)]
+        pstar_lead = _leading_coefficient([p for p, _ in table])
+        cyclic_lead = _leading_coefficient([c for _, c in table])
+        assert ratio_limit(d, k) == cyclic_lead / pstar_lead, (d, k)
+
+
+@pytest.mark.parametrize("d, k", [(4, 5), (4, -1), (1, 0)])
+def test_ratio_limit_rejects_k_outside_0_to_d_and_d_below_2(d, k):
+    with pytest.raises(ValueError, match="d >= 2 and 0 <= k <= d"):
+        ratio_limit(d, k)
+
+
+def test_ratio_reaches_its_limit_exactly_at_d2_and_k_at_least_d_minus_1():
+    # Admissible n < 300 for d = 2..12, k = 0..d: the ratio climbs in n and
+    # equals its limit exactly where both counts are n or both are 1.
+    for d in range(2, 13):
+        admissible = range(3 * (d // 2) + d % 2, 300, d // 2)
+        for k in range(d + 1):
+            rows = ratio_report(d, admissible, k)
+            ratios = [row["ratio"] for row in rows]
+            assert ratios == sorted(ratios), (d, k)
+            if d == 2 or k >= d - 1:
+                assert all(row["ratio"] == row["limit"] for row in rows), (d, k)
+            else:
+                assert all(row["ratio"] < row["limit"] for row in rows), (d, k)
 
 
 def test_ratio_d2_trivial():

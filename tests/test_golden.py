@@ -66,6 +66,8 @@ CASES = {  # golden file stem -> (argv, exit code)
                        "--d", "6"], 0),
     "verify_text_polygon_6": (["verify", "polygon", "--n", "6", "--no-timing"], 0),
     "report_ratio_json_decimal": (RATIO + ["--decimal", "4"], 0),
+    "report_ratio_odd_d_csv": (["report", "ratio", "--d", "5", "--k", "2", "--n-start",
+                                "9", "--n-end", "13", "--step", "2", "--csv"], 0),
     # Failures: one line on stderr, nothing on stdout.
     "usage_fvector_max_work_0": (["fvector", "--in", "pstar_8_4.hrep", "--method",
                                   "enumerate", "--max-work", "0"], 2),
