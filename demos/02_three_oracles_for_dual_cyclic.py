@@ -2,30 +2,31 @@
 
 1. brute-force enumeration of an exact geometric realization,
 2. the closed-form two-sum formula,
-3. for vertices, the combinatorial evenness condition on facet subsets.
+3. McMullen's h-vector of c*(n, d), h_i = C(n-d-1+j, j) with j = min(i, d-i),
+   turned into a whole f-vector by f_k = sum_r C(r, k) h_r.
 
 All three must agree exactly; any mismatch would expose a bug.
 """
 
-from li2poly import Analysis, dual_cyclic, gale_evenness_facet_count
+from li2poly import Analysis, dual_cyclic
+from li2poly.faces import dual_cyclic_h, f_from_h
 from li2poly.formulas import dual_cyclic_f_vector, fk_dual_cyclic
 
 n, d = 8, 4
 print(f"dual cyclic polytope at n={n}, d={d}")
 print(f"  enumerated f-vector: {Analysis(dual_cyclic(n, d)).f_vector}")
 print(f"  closed-form f-vector: {dual_cyclic_f_vector(n, d)}")
-print(f"  evenness-condition facet subsets: {gale_evenness_facet_count(n, d)}"
-      f" (= f_0)")
+h = dual_cyclic_h(n, d)
+print(f"  h-vector {h} gives f-vector: {f_from_h(h)}")
 print()
 
-print("the evenness oracle across a grid (vertex counts):")
+print("the h-vector route across a grid (whole f-vectors agree; f_0 shown):")
 for n in range(5, 11):
     row = []
     for d in range(2, min(n, 6)):
-        a = gale_evenness_facet_count(n, d)
-        b = fk_dual_cyclic(n, d, 0)
-        assert a == b
-        row.append(f"d={d}: {a}")
+        f = f_from_h(dual_cyclic_h(n, d))
+        assert f == dual_cyclic_f_vector(n, d)
+        row.append(f"d={d}: {f[0]}")
     print(f"  n={n}:  " + "  ".join(row))
 print()
 

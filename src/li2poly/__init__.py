@@ -22,7 +22,7 @@ _HOME = {
     "fk_dual_cyclic": "formulas", "fk_pstar": "formulas",
     "lemma41_bound": "formulas",
     "thm42_bound": "formulas", "thm42_bound_literal": "formulas",
-    "ratio_report": "formulas", "gale_evenness_facet_count": "formulas",
+    "ratio_report": "formulas",
 }
 __all__ = list(_HOME)
 

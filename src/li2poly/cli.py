@@ -147,64 +147,48 @@ def cmd_verify(args) -> int:
     _require_at_least(args, "max_work", 1)
     total = _timer()
     timing: dict[str, float] = {}
-    notes: list[str] = []
+
+    def timed(stage: str, compute):
+        """compute()'s value; its milliseconds go to timing[stage]."""
+        elapsed = _timer()
+        value = compute()
+        timing[stage] = elapsed()
+        return value
+
     tag = _family_tag(args)
     faces.check_caps(tag.n, tag.d, args.max_work)  # exit before building an over-cap instance
     p = constructors.from_family(tag)
     analysis = faces.Analysis(p, args.max_work)
     n, d = p.n, p.dim
-
-    stage = _timer()
-    bounded = analysis.bounded
-    timing["bounded"] = stage()
-
-    stage = _timer()
-    f_enum = analysis.f_vector
-    timing["enumerate"] = stage()
-
-    stage = _timer()
-    f_formula = constructors.FAMILIES[args.family].f_vector(n, d)
-    timing["formula"] = stage()
-
+    bounded = timed("bounded", lambda: analysis.bounded)
+    f_enum = timed("enumerate", lambda: analysis.f_vector)
+    f_formula = timed("formula", lambda: constructors.FAMILIES[args.family].f_vector(n, d))
     profile = model.li2_profile(p)
     h_transform = hvector.h_from_f(f_enum)
-
-    checks: dict[str, bool] = {}  # filled in the order the output lists them
-    checks["oracle_match"] = f_enum == f_formula
-
-    # P itself counted: 1 for a polytope, 0 for a pointed unbounded polyhedron.
-    checks["euler"] = sum((-1) ** k * f_enum[k] for k in range(d + 1)) == int(bounded)
-    if not bounded:
-        notes.append("euler: unbounded instance, checked alternating sum = 0")
-
-    stage = _timer()
-    h_indegree = None
-    if bounded:
-        per_seed = [hvector.indegree_hvector(analysis, s) for s in VERIFY_SEEDS]
-        h_indegree = per_seed[0]
-        checks["h_independence"] = (len(set(per_seed)) == 1
-                                    and per_seed[0] == h_transform)
-    else:
-        checks["h_independence"] = True
-        notes.append("h_independence: skipped, orientation needs a bounded polytope")
-    timing["hvector"] = stage()
-
-    stage = _timer()
-    checks["ubt"] = hvector.strengthened_ubt_check(analysis)
-    timing["ubt"] = stage()
-
-    stage = _timer()
-    if profile.is_li2 and d >= 4 and bounded:
-        checks["lemma41"] = f_enum[d - 2] <= formulas.lemma41_bound(n, profile.n_prime, d)
-        if formulas.two_variable_deficit(profile.n_prime, d) <= 0:
-            notes.append(f"lemma41: {VACUOUS_RIDGE}")
-        checks["thm42_strict"] = all(
-            f_enum[k] < formulas.fk_dual_cyclic(n, d, k) for k in range(d - 1))
-    else:
-        for name in ("lemma41", "thm42_strict"):
-            checks[name] = True
-            notes.append(f"{name}: skipped, needs a bounded two-variable system with d >= 4")
-    timing["bounds"] = stage()
+    # Orienting the edges needs a bounded polytope; the stage is timed either way.
+    per_seed = timed("hvector", lambda: [hvector.indegree_hvector(analysis, s)
+                                         for s in VERIFY_SEEDS] if bounded else [])
+    two_variable = profile.is_li2 and d >= 4 and bounded
+    checks = {  # in the order the output lists them
+        "oracle_match": f_enum == f_formula,
+        # P itself counted: 1 for a polytope, 0 for a pointed unbounded polyhedron.
+        "euler": sum((-1) ** k * f_enum[k] for k in range(d + 1)) == int(bounded),
+        "h_independence": not bounded or set(per_seed) == {h_transform},
+        "ubt": timed("ubt", lambda: hvector.strengthened_ubt_check(analysis)),
+        **timed("bounds", lambda: {
+            "lemma41": f_enum[d - 2] <= formulas.lemma41_bound(n, profile.n_prime, d),
+            "thm42_strict": all(f_enum[k] < formulas.fk_dual_cyclic(n, d, k)
+                                for k in range(d - 1)),
+        } if two_variable else dict.fromkeys(("lemma41", "thm42_strict"), True)),
+    }
+    notes = [] if bounded else [
+        "euler: unbounded instance, checked alternating sum = 0",
+        "h_independence: skipped, orientation needs a bounded polytope"]
+    if not two_variable:
+        notes += [f"{name}: skipped, needs a bounded two-variable system with d >= 4"
+                  for name in ("lemma41", "thm42_strict")]
+    elif formulas.two_variable_deficit(profile.n_prime, d) <= 0:
+        notes.append(f"lemma41: {VACUOUS_RIDGE}")
 
     overall = all(checks.values())
     timing["total"] = total()
@@ -215,7 +199,7 @@ def cmd_verify(args) -> int:
             "bounded": bounded,
             "f_enumerated": list(f_enum),
             "f_formula": list(f_formula),
-            "h_indegree": list(h_indegree) if h_indegree is not None else None,
+            "h_indegree": list(per_seed[0]) if per_seed else None,
             "h_from_f": list(h_transform),
             "checks": checks,
             "notes": notes,
@@ -226,8 +210,8 @@ def cmd_verify(args) -> int:
               f"({'bounded' if bounded else 'unbounded'})")
         print(f"f (enumerated): {' '.join(map(str, f_enum))}")
         print(f"f (formula):    {' '.join(map(str, f_formula))}")
-        if h_indegree is not None:
-            print(f"h (indegree):   {' '.join(map(str, h_indegree))}")
+        if per_seed:
+            print(f"h (indegree):   {' '.join(map(str, per_seed[0]))}")
         print(f"h (from f):     {' '.join(map(str, h_transform))}")
         for name, ok in checks.items():
             print(f"check {name}: {'pass' if ok else 'FAIL'}")

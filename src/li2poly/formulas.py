@@ -1,4 +1,4 @@
-"""Closed-form face counts, separation bounds, and combinatorial oracles.
+"""Closed-form face counts and separation bounds.
 
 Everything here is pure arithmetic on exact rationals and integers.
 Binomials with out-of-range arguments evaluate to zero, which makes every
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
 
 def binom(a: int, b: int) -> int:
@@ -204,27 +203,3 @@ def ratio_report(d: int, n_list, k: int) -> list[dict]:
         rows.append({"n": n, "f_dual_cyclic": fc, "f_pstar": fp, "ratio": ratio,
                      "limit": limit, "within_limit": ratio <= limit})
     return rows
-
-
-def gale_evenness_facet_count(n: int, d: int) -> int:
-    """Count d-subsets of {1..n} satisfying the evenness condition.
-
-    A subset is counted when every maximal run of its elements that is
-    strictly between non-elements (touching neither 1 nor n) has even
-    length. This is the standard combinatorial description of the cyclic
-    polytope's facets, hence an independent oracle for the dual cyclic
-    vertex count.
-    """
-    if not (0 < d < n):
-        raise ValueError(f"need 0 < d < n, got n={n} d={d}")
-    count = 0
-    for subset in combinations(range(1, n + 1), d):
-        runs: list[list[int]] = []
-        for x in subset:
-            if runs and runs[-1][-1] == x - 1:
-                runs[-1].append(x)
-            else:
-                runs.append([x])
-        if all(len(run) % 2 == 0 or run[0] == 1 or run[-1] == n for run in runs):
-            count += 1
-    return count

@@ -139,11 +139,10 @@ def parse_hrep(text: str | bytes) -> HPolytope:
     if not data_lines:
         raise HRepParseError("missing 'n d' header line")
     header_line, header = data_lines[0]
-    if len(header) != 2 or not all(_NATURAL_RE.match(t) for t in header):
-        raise HRepParseError("header must be two positive integers 'n d'", header_line)
+    if len(header) != 2 or not all(_NATURAL_RE.match(t) for t in header) or int(header[1]) < 1:
+        raise HRepParseError("header must be 'n d' with integers n >= 0 and d >= 1",
+                             header_line)
     n, d = int(header[0]), int(header[1])
-    if d < 1:
-        raise HRepParseError("header must satisfy n >= 0 and d >= 1", header_line)
     if len(data_lines) - 1 < n:
         raise HRepParseError(f"expected {n} constraint rows, found {len(data_lines) - 1}")
     if len(data_lines) - 1 > n:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from li2poly import constructors, faces
+from li2poly import constructors, faces, hvector
 from li2poly.cli import run
 from li2poly.errors import InputError
 from li2poly.model import parse_hrep
@@ -176,6 +176,24 @@ def test_verify_notes_a_vacuous_ridge_bound(capsys):
     assert doc["notes"] == ["lemma41: vacuous: bound is at least C(n,2)"]
 
 
+@pytest.mark.parametrize("offsets", [(1, 1, 1), (0, 1, 2)],
+                         ids=["seeds_agree_off_h_from_f", "seeds_disagree"])
+def test_verify_fails_h_independence(monkeypatch, capsys, offsets):
+    # Seed s adds offsets[s] to h_1: all seeds must agree, and with h_from_f.
+    real = hvector.indegree_hvector
+
+    def skewed(analysis, seed):
+        h = real(analysis, seed)
+        return (h[0], h[1] + offsets[seed], *h[2:])
+
+    monkeypatch.setattr(hvector, "indegree_hvector", skewed)
+    code, doc = run_json(capsys, ["verify", "pstar", "--n", "8", "--d", "4",
+                                  "--json", "--no-timing"])
+    assert code == 1 and doc["pass"] is False
+    assert [name for name, ok in doc["checks"].items() if not ok] == ["h_independence"]
+    assert doc["h_indegree"] == [1, 4 + offsets[0], 6, 4, 1]
+
+
 def test_verify_human_readable(capsys):
     assert run(["verify", "prism3", "--n", "6", "--no-timing"]) == 0
     out = capsys.readouterr().out
@@ -190,9 +208,15 @@ def test_verify_timing_present_by_default(capsys):
     assert "timing_ms" in doc and "total" in doc["timing_ms"]
 
 
-def test_verify_times_every_stage(capsys):
-    code, doc = run_json(capsys, ["verify", "pstar", "--n", "8", "--d", "4",
-                                  "--json"])
+@pytest.mark.parametrize("instance", [
+    ["pstar", "--n", "8", "--d", "4"],
+    ["pstar", "--n", "9", "--d", "5"],
+    ["dualcyclic", "--n", "9", "--d", "5"],
+    ["polygon", "--n", "5"],
+], ids=["bounded_li2_d4", "unbounded", "not_li2", "d_below_4"])
+def test_verify_times_every_stage(capsys, instance):
+    # A skipped stage, such as hvector on an unbounded instance, is still timed.
+    code, doc = run_json(capsys, ["verify", *instance, "--json"])
     assert code == 0
     timing = doc["timing_ms"]
     assert list(timing) == ["bounded", "enumerate", "formula", "hvector", "ubt",

@@ -18,6 +18,14 @@ README_EXAMPLES = re.findall(r"^```python\n(.*?)^```$",
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 # Lines a demo prints from its checks, each block verbatim.
 DEMO_LINES = {
+    "02_three_oracles_for_dual_cyclic": (
+        "the h-vector route across a grid (whole f-vectors agree; f_0 shown):\n"
+        "  n=5:  d=2: 5  d=3: 6  d=4: 5\n"
+        "  n=6:  d=2: 6  d=3: 8  d=4: 9  d=5: 6\n"
+        "  n=7:  d=2: 7  d=3: 10  d=4: 14  d=5: 12\n"
+        "  n=8:  d=2: 8  d=3: 12  d=4: 20  d=5: 20\n"
+        "  n=9:  d=2: 9  d=3: 14  d=4: 27  d=5: 30\n"
+        "  n=10:  d=2: 10  d=3: 16  d=4: 35  d=5: 42\n",),
     "03_orientation_histograms": (
         "componentwise comparison against the dual cyclic histogram:\n"
         "  h_0: 1 = 1\n  h_1: 4 = 4\n  h_2: 6 < 10\n  h_3: 4 = 4\n  h_4: 1 = 1\n"

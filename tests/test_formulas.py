@@ -5,11 +5,11 @@ from math import comb, factorial
 
 import pytest
 
+from gale_evenness import gale_evenness_facet_count
 from leading_terms import leading_terms
 from li2poly import formulas
 from li2poly.formulas import (binom, dual_cyclic_f_vector, fk_dual_cyclic, fk_pstar,
-                              gale_evenness_facet_count, lemma41_bound,
-                              pstar_f_vector, ratio_limit, ratio_report,
+                              lemma41_bound, pstar_f_vector, ratio_limit, ratio_report,
                               thm42_bound, thm42_bound_literal, two_variable_deficit)
 
 F = Fraction

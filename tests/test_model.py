@@ -152,12 +152,13 @@ def test_unrecognized_family_comment_is_ignored():
 
 # '²' passes str.isdigit, but int() rejects it; '٣' is a decimal digit that
 # int() and Fraction() read as 3, which serialize_hrep would write as '3'.
-# With ASCII digits only, the header's one range error is d = 0.
+# With ASCII digits only, the header's one range error is d = 0, and a
+# malformed header and d = 0 break the same rule.
+HEADER_RULE = "header must be 'n d' with integers n >= 0 and d >= 1"
 NON_ASCII_DIGITS = {
-    "superscript_header": ("1 ²\n1 1\n", 1,
-                           "header must be two positive integers 'n d'"),
+    "superscript_header": ("1 ²\n1 1\n", 1, HEADER_RULE),
     "arabic_indic_entry": ("1 1\n٣ 1\n", 2, "malformed rational '٣'"),
-    "zero_dimension_header": ("0 0\n", 1, "header must satisfy n >= 0 and d >= 1"),
+    "zero_dimension_header": ("0 0\n", 1, HEADER_RULE),
 }
 
 

@@ -68,10 +68,12 @@ def test_queries_have_one_handle_over_integer_generators():
         assert not hasattr(faces, name), name
     # The bound and h checks return plain values, and a row carries no label.
     # A ratio row is a dict, so formulas needs no record type, and it is
-    # compared with its exact limit, so no constant stands in for e.
+    # compared with its exact limit, so no constant stands in for e. The
+    # evenness oracle, which no command reads, is a test reference.
     for module, name in ((formulas, "BoundReport"), (formulas, "ridge_bound_report"),
                          (formulas, "separation_bound_reports"),
                          (formulas, "E_UPPER"), (formulas, "ENVELOPE_SLACK"),
+                         (formulas, "gale_evenness_facet_count"),
                          (hvector, "UbtEntry"), (hvector, "UbtComparison"),
                          (formulas, "RatioRow"), (formulas, "NamedTuple")):
         assert not hasattr(module, name) and not hasattr(li2poly, name), name
