@@ -6,9 +6,13 @@ convex polygon on each coordinate pair; its vertices pick one pair of
 cyclically consecutive edges per polygon.
 """
 
+import signal
+
 from li2poly import (Analysis, convex_polygon, dual_cyclic, prism3, pstar,
                      serialize_hrep)
 from li2poly.formulas import dual_cyclic_f_vector, pstar_f_vector
+
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed stdout ends the demo quietly
 
 print("A pentagon, as an H-representation:")
 print(serialize_hrep(convex_polygon(5)))

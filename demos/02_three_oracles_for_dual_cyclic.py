@@ -8,9 +8,13 @@
 All three must agree exactly; any mismatch would expose a bug.
 """
 
+import signal
+
 from li2poly import Analysis, dual_cyclic
 from li2poly.faces import dual_cyclic_h, f_from_h
 from li2poly.formulas import dual_cyclic_f_vector, fk_dual_cyclic
+
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed stdout ends the demo quietly
 
 n, d = 8, 4
 print(f"dual cyclic polytope at n={n}, d={d}")

@@ -8,9 +8,13 @@ comparison of these histograms against the dual cyclic ones is the
 strengthened form of the maximal-count theorem.
 """
 
+import signal
+
 from li2poly import (Analysis, convex_polygon, h_from_f, indegree_hvector,
                      prism3, pstar, strengthened_ubt_check)
 from li2poly.faces import dual_cyclic_h
+
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed stdout ends the demo quietly
 
 print("a hexagon under five different seeded objectives:")
 hexagon = Analysis(convex_polygon(6))  # every seed reuses one edge graph

@@ -9,9 +9,13 @@ two-variable family once n is large; at the smallest parameters, where
 every polygon factor is a triangle, the counts coincide exactly.
 """
 
+import signal
+
 from li2poly import (Analysis, dual_cyclic, lemma41_bound, pstar, ratio_report,
                      thm42_bound)
 from li2poly.formulas import fk_dual_cyclic, fk_pstar, two_variable_deficit
+
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed stdout ends the demo quietly
 
 print("vertex-count ratios at d=4 against its limit 2 as n grows:")
 for row in ratio_report(4, range(8, 41, 4), 0):

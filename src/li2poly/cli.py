@@ -28,7 +28,6 @@ import sys
 import time
 
 from . import faces, model
-from .errors import InputError
 
 VERIFY_SEEDS = (0, 1, 2)
 VACUOUS_RIDGE = "vacuous: bound is at least C(n,2)"
@@ -54,7 +53,7 @@ def _read_polytope(path: str) -> model.HPolytope:
         with open(path, "rb") as fh:
             return model.parse_hrep(fh.read())
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 class UsageError(Exception):
@@ -91,7 +90,7 @@ def cmd_construct(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from None
+            raise ValueError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -103,11 +102,11 @@ def cmd_fvector(args) -> int:
     p = _read_polytope(args.infile)
     if args.method == "formula":
         if p.family is None:
-            raise InputError(
+            raise ValueError(
                 "formula method requires a recognized family tag "
                 "('# family: NAME n=.. d=..') in the input file")
         if (p.family.n, p.family.d) != (p.n, p.dim):
-            raise InputError(f"family tag n={p.family.n} d={p.family.d} does "
+            raise ValueError(f"family tag n={p.family.n} d={p.family.d} does "
                              f"not match the header n={p.n} d={p.dim}")
         from . import constructors
         f = constructors.FAMILIES[p.family.name].f_vector(p.family.n, p.family.d)
@@ -233,7 +232,7 @@ def cmd_profile(args) -> int:
             warnings.append(
                 "redundant rows present; the separation bounds assume a "
                 "nonredundant system")
-    except InputError as exc:
+    except ValueError as exc:
         warnings.append(f"redundancy scan skipped: {exc}")
         exit_code = 3
     _emit("profile", {
@@ -370,11 +369,13 @@ def run(argv) -> int:
         # Loaded after argparse's first parser and its gettext state, verify's
         # modules raised its peak RSS by 0.12 MiB with bytecode caching off.
         from . import constructors, formulas, hvector  # noqa: F401
-    parser = build_parser()
+    import gc
+    gc.collect()  # the command's work reuses the memory of the import garbage
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
+    gc.collect()  # and of argparse's parser, about 70 KB of reference cycles
     try:
         return args.func(args)
     except UsageError as exc:

@@ -37,7 +37,6 @@ from functools import cached_property
 from math import comb, gcd, lcm
 from operator import mul
 
-from .errors import InputError, NonPointedError
 from .model import HPolytope
 
 DEFAULT_MAX_WORK = 5_000_000
@@ -45,6 +44,10 @@ DEFAULT_MAX_WORK = 5_000_000
 FVector = tuple[int, ...]
 IntVec = tuple[int, ...]
 Generator = tuple[IntVec, int]
+
+
+class NonPointedError(ValueError):
+    """The polyhedron has a nonzero lineality space (no vertices)."""
 
 
 def _cleared(entries) -> IntVec:
@@ -106,7 +109,7 @@ def enumerate_vertices(p: HPolytope) -> list[Generator]:
     rays share at least need = d - 1 - (lines left) rows, bit-sliced
     counters over a + ray's rows pick the - rays that do, and such a pair
     is adjacent iff ANDing on[r] over its common rows, from all rays,
-    leaves the pair alone. Raises InputError when no ray has t > 0 (the
+    leaves the pair alone. Raises ValueError when no ray has t > 0 (the
     polyhedron is empty), and else NonPointedError when a line is left.
     """
     d, n = p.dim, p.n
@@ -157,7 +160,7 @@ def enumerate_vertices(p: HPolytope) -> list[Generator]:
             rays, zeros = new_rays, new_zeros
         seen |= bit
     if not any(r[-1] for r in rays):
-        raise InputError("polyhedron is empty")
+        raise ValueError("polyhedron is empty")
     if lines:
         raise NonPointedError(
             "row rank below the ambient dimension: nonzero lineality space")
@@ -199,7 +202,7 @@ def face_bound(n: int, d: int) -> FVector:
 
 
 def check_caps(n: int, d: int, max_work: int = DEFAULT_MAX_WORK) -> None:
-    """Raise InputError unless n rows in d variables fit the budget.
+    """Raise ValueError unless n rows in d variables fit the budget.
 
     The work is max(n, d) times the sum of face_bound(n, d): the lattice
     ANDs each face with each of the n rows, and the kernel starts from d + 1
@@ -210,11 +213,11 @@ def check_caps(n: int, d: int, max_work: int = DEFAULT_MAX_WORK) -> None:
     """
     size = max(n, d)
     if d > max_work.bit_length() or size * (2 ** (d + 1) - 1) > max_work:
-        raise InputError(f"n={n}, d={d}: the {d}-simplex's 2^{d + 1} - 1 faces "
+        raise ValueError(f"n={n}, d={d}: the {d}-simplex's 2^{d + 1} - 1 faces "
                          f"alone put the work over max_work={max_work}")
     bound = sum(face_bound(n, d))
     if size * bound > max_work:
-        raise InputError(
+        raise ValueError(
             f"n={n}, d={d}: the Upper Bound Theorem allows {bound} faces; "
             f"work {size} * {bound} = {size * bound} exceeds max_work={max_work}")
 
@@ -223,7 +226,7 @@ class Analysis:
     """The enumeration results of one polytope under one work budget.
 
     The constructor runs check_caps before it stores anything, so an
-    over-budget input raises InputError and nothing is built; p and
+    over-budget input raises ValueError and nothing is built; p and
     max_work are not reassigned afterwards, and equality is identity. Each
     property is computed on first access and cached on this object only;
     cached values are shared, so callers must not mutate them. The integer
@@ -297,13 +300,13 @@ class Analysis:
         f_{d-2}; a segment has no nonempty (d-2)-face and counts 0.
         """
         if not self.bounded:
-            raise InputError("facet adjacency requires a bounded polytope")
+            raise ValueError("facet adjacency requires a bounded polytope")
         if self.redundant:
-            raise InputError(
+            raise ValueError(
                 f"rows {sorted(self.redundant)} are redundant; adjacency counts "
                 "need a nonredundant system")
         if not self.f_vector[-1]:
-            raise InputError(
+            raise ValueError(
                 f"the polytope is not full-dimensional in R^{self.p.dim}; "
                 "adjacency counts need rows in bijection with facets")
         return self.f_vector[self.p.dim - 2] if self.p.dim >= 2 else 0
@@ -364,10 +367,10 @@ def redundant_rows(a: Analysis) -> frozenset[int]:
     bitset is a face and the facets are the maximal proper faces, so the
     face is a facet iff no row's bitset lies strictly between it and all
     vertices. Requires a nonempty bounded polytope; the empty one raises
-    InputError.
+    ValueError.
     """
     p = a.p
-    unbounded = InputError("redundancy scan requires a bounded polytope")
+    unbounded = ValueError("redundancy scan requires a bounded polytope")
     try:
         generators = a.generators
     except NonPointedError:
@@ -400,7 +403,7 @@ def edge_graph(a: Analysis) -> list[tuple[int, int]]:
     """A bounded polytope's edges, its f_1 faces with two generators (all
     vertices), as sorted index pairs. The builder behind Analysis.edge_graph."""
     if not a.bounded:
-        raise InputError("edge graph requires a bounded polytope")
+        raise ValueError("edge graph requires a bounded polytope")
     pairs = a._lattice_pass[1]
     if len(pairs) != a.f_vector[1]:
         raise AssertionError("bounded 1-face without exactly two vertices")

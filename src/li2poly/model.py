@@ -21,8 +21,6 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import HRepParseError
-
 Vec = tuple[Fraction, ...]
 
 # ASCII digits only: int() and Fraction() also read other scripts' digits,
@@ -108,9 +106,9 @@ def li2_profile(p: HPolytope) -> LI2Profile:
 
 def _parse_rational(token: str, line: int) -> Fraction:
     if not _RATIONAL_RE.match(token):
-        raise HRepParseError(f"malformed rational {token!r}", line)
+        raise ValueError(f"line {line}: malformed rational {token!r}")
     if "/" in token and int(token.split("/")[1]) == 0:
-        raise HRepParseError(f"zero denominator in {token!r}", line)
+        raise ValueError(f"line {line}: zero denominator in {token!r}")
     return Fraction(token)
 
 
@@ -120,7 +118,7 @@ def parse_hrep(text: str | bytes) -> HPolytope:
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise HRepParseError(f"input is not valid UTF-8: {exc}") from None
+            raise ValueError(f"input is not valid UTF-8: {exc}") from None
     family: FamilyTag | None = None
     data_lines: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -137,24 +135,23 @@ def parse_hrep(text: str | bytes) -> HPolytope:
         data_lines.append((lineno, stripped.split()))
 
     if not data_lines:
-        raise HRepParseError("missing 'n d' header line")
+        raise ValueError("missing 'n d' header line")
     header_line, header = data_lines[0]
     if len(header) != 2 or not all(_NATURAL_RE.match(t) for t in header) or int(header[1]) < 1:
-        raise HRepParseError("header must be 'n d' with integers n >= 0 and d >= 1",
-                             header_line)
+        raise ValueError(f"line {header_line}: header must be 'n d' with integers "
+                         "n >= 0 and d >= 1")
     n, d = int(header[0]), int(header[1])
     if len(data_lines) - 1 < n:
-        raise HRepParseError(f"expected {n} constraint rows, found {len(data_lines) - 1}")
+        raise ValueError(f"expected {n} constraint rows, found {len(data_lines) - 1}")
     if len(data_lines) - 1 > n:
-        extra_line = data_lines[n + 1][0]
-        raise HRepParseError("trailing data after the declared constraint rows", extra_line)
+        raise ValueError(f"line {data_lines[n + 1][0]}: trailing data after the "
+                         "declared constraint rows")
 
     constraints = []
     for lineno, tokens in data_lines[1:]:
         if len(tokens) != d + 1:
-            raise HRepParseError(
-                f"expected {d} coefficients and one right-hand side, got {len(tokens)} fields",
-                lineno)
+            raise ValueError(f"line {lineno}: expected {d} coefficients and one "
+                             f"right-hand side, got {len(tokens)} fields")
         values = [_parse_rational(t, lineno) for t in tokens]
         constraints.append(Constraint(tuple(values[:d]), values[d]))
     return HPolytope(d, tuple(constraints), family)

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
 from li2poly import constructors, faces, model
-from li2poly.errors import InputError
 from li2poly.model import Constraint, HPolytope
 from fraction_linalg import dot, rank, rows_of
 
@@ -125,10 +124,10 @@ def collect_lattice(a: faces.Analysis) -> list[tuple[int, int, int]]:
 
 def outcome(thunk) -> tuple:
     """("ok", value) of thunk(), or ("error", type, message) if it rejects
-    its input with an InputError, so two paths compare with ==."""
+    its input with a ValueError, so two paths compare with ==."""
     try:
         return ("ok", thunk())
-    except InputError as exc:
+    except ValueError as exc:
         return ("error", type(exc), str(exc))
 
 

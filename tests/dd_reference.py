@@ -7,14 +7,14 @@ is generator k. The kernel tests each (+, -) ray pair against every other
 ray's zero set, which costs O(R) per pair. The lattice closes the faces,
 then takes their dimensions, then their tight sets, in three passes of n
 ANDs per face. The kernel clears the rows' denominators itself and
-imports nothing from faces.
+takes nothing from faces but the NonPointedError it raises.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from li2poly.errors import InputError, NonPointedError
+from li2poly.faces import NonPointedError
 from li2poly.model import HPolytope
 
 
@@ -87,7 +87,7 @@ def reference_vertices(p: HPolytope):
             rays, zeros = new_rays, new_zeros
         seen |= bit
     if not any(r[-1] for r in rays):
-        raise InputError("polyhedron is empty")
+        raise ValueError("polyhedron is empty")
     if lines:
         raise NonPointedError(
             "row rank below the ambient dimension: nonzero lineality space")

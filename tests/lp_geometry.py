@@ -8,7 +8,6 @@ answers off the double-description incidences, are checked against.
 
 from __future__ import annotations
 
-from li2poly.errors import InputError
 from li2poly.model import HPolytope
 from fraction_linalg import ONE, ZERO, Vec, rows_of
 from lp_simplex import OPTIMAL, max_min_slack, solve_lp_max
@@ -29,10 +28,10 @@ def is_bounded(p: HPolytope) -> bool:
     over the recession cone, each capped at 1 along its own objective
     direction so the program stays bounded; a cone direction with nonzero
     i-th coordinate scales into one of the capped programs with positive
-    value. Raises InputError on an empty polyhedron.
+    value. Raises ValueError on an empty polyhedron.
     """
     if feasible_point(p) is None:
-        raise InputError("polyhedron is empty")
+        raise ValueError("polyhedron is empty")
     rows = rows_of(p)
     rhs = [ZERO] * p.n
     for i in range(p.dim):
@@ -54,10 +53,10 @@ def redundant_constraints(p: HPolytope) -> set[int]:
     other (still active) rows cannot exceed its right-hand side. Rows are
     scanned from the highest index down, so among duplicates the lowest
     index is the one kept. Requires a feasible bounded input; is_bounded
-    raises InputError on an empty one.
+    raises ValueError on an empty one.
     """
     if not is_bounded(p):
-        raise InputError("redundancy scan requires a bounded polytope")
+        raise ValueError("redundancy scan requires a bounded polytope")
     active = list(range(p.n))
     redundant: set[int] = set()
     for i in reversed(range(p.n)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from li2poly.errors import NonPointedError
+from li2poly.faces import NonPointedError
 from li2poly.model import HPolytope
 from fraction_linalg import (ZERO, Vec, contains, dot, rank, rows_of, solve_affine,
                              solve_linear_system, tight_at)

@@ -9,7 +9,7 @@ import pytest
 from conftest import collect_lattice, outcome, square_pyramid
 from li2poly import constructors, faces, hvector, model
 from li2poly.cli import run
-from li2poly.errors import InputError, NonPointedError
+from li2poly.faces import NonPointedError
 
 
 def _count_calls(monkeypatch, functions) -> dict[str, int]:
@@ -111,7 +111,7 @@ def test_empty_input_is_reported_empty(tmp_path, capsys):
     # Emptiness is reported before a lineality space, so the empty strip
     # gets the same message as the pointed empty system.
     for text in (EMPTY, EMPTY_STRIP):
-        with pytest.raises(InputError, match=r"^polyhedron is empty$"):
+        with pytest.raises(ValueError, match=r"^polyhedron is empty$"):
             faces.Analysis(model.parse_hrep(text)).bounded
         path = _write(tmp_path, model.parse_hrep(text))
         for argv in (["hvector", "--in", path, "--seed", "0", "--no-timing"],
@@ -179,7 +179,7 @@ def test_shared_analysis_matches_fresh_calls(build, expected_errors):
         assert outcome(lambda: query(shared)) == fresh, name
         assert outcome(lambda: query(shared)) == fresh, name  # served from the cache
         if name in expected_errors:
-            assert fresh == ("error", InputError, expected_errors[name]), name
+            assert fresh == ("error", ValueError, expected_errors[name]), name
         else:
             assert fresh[0] == "ok", (name, fresh)
 
@@ -204,11 +204,11 @@ def test_caps_apply_before_the_vertex_scan():
                   lambda: hvector.strengthened_ubt_check(faces.Analysis(big)),
                   lambda: faces.Analysis(big).simple):
         start = time.perf_counter()
-        with pytest.raises(InputError) as exc:
+        with pytest.raises(ValueError) as exc:
             check()
         assert time.perf_counter() - start < 1
         assert str(exc.value) == f"{OVER_CAP}5000000"
-    with pytest.raises(InputError) as exc:
+    with pytest.raises(ValueError) as exc:
         faces.Analysis(big, max_work=43345979)
     assert str(exc.value) == f"{OVER_CAP}43345979"
     faces.Analysis(big, max_work=43345980)  # admitted; no work until read
@@ -228,7 +228,7 @@ def test_analysis_checks_caps_before_it_stores_or_enumerates(monkeypatch):
             (constructors.dual_cyclic(60, 7), faces.DEFAULT_MAX_WORK, f"{OVER_CAP}5000000"),
             (constructors.pstar(8, 4), 1,
              "n=8, d=4: the 4-simplex's 2^5 - 1 faces alone put the work over max_work=1")):
-        with pytest.raises(InputError) as exc:
+        with pytest.raises(ValueError) as exc:
             Watched(p, max_work)
         assert str(exc.value) == message
     assert stored == []

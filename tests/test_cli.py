@@ -5,13 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from li2poly import constructors, faces, hvector
+from li2poly import cli, constructors, faces, hvector
 from li2poly.cli import run
-from li2poly.errors import InputError
 from li2poly.model import parse_hrep
 from lp_geometry import redundant_constraints as lp_redundant_constraints
 from test_model import NON_ASCII_DIGITS
@@ -58,6 +58,22 @@ def test_construct_divisibility_violation_exits_3(capsys):
     assert run(["construct", "pstar", "--n", "10", "--d", "6"]) == 3
     err = capsys.readouterr().err
     assert "divisor of n" in err
+
+
+def test_the_parser_is_collected_before_the_command_runs(monkeypatch):
+    # The command's work reuses the parser's memory, reference cycles that
+    # only the collector frees.
+    built, seen, build_parser = [], [], cli.build_parser
+
+    def build():
+        parser = build_parser()
+        built.append(weakref.ref(parser))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    monkeypatch.setattr(cli, "cmd_report_bounds", lambda args: seen.append(built[0]()) or 0)
+    assert run(["report", "bounds", "--n", "12", "--n-prime", "12", "--d", "6"]) == 0
+    assert len(built) == 1 and seen == [None]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -295,7 +311,7 @@ def test_profile_without_bounded_input_keeps_lp_scan_warning(tmp_path, capsys,
                                                             text):
     path = tmp_path / "p.hrep"
     path.write_text(text)
-    with pytest.raises(InputError) as lp_error:
+    with pytest.raises(ValueError) as lp_error:
         lp_redundant_constraints(parse_hrep(text))
     code, doc = run_json(capsys, ["profile", "--in", str(path)])
     assert code == 3

@@ -184,6 +184,11 @@ def test_from_family_round_trip():
         assert constructors.from_family(p.family) == p
 
 
+def test_from_family_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match=r"^unknown family 'cube'$"):
+        constructors.from_family(model.FamilyTag("cube", 8, 3))
+
+
 def test_family_registry_matches_parser_names():
     assert tuple(constructors.FAMILIES) == model.FAMILY_NAMES
 

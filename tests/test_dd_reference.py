@@ -18,7 +18,7 @@ from conftest import (RANDOM, cached_instance, collect_lattice, outcome, permute
                       two_variable_systems)
 from dd_reference import _incidence, reference_faces, reference_vertices
 from li2poly import faces
-from li2poly.errors import NonPointedError
+from li2poly.faces import NonPointedError
 from li2poly.model import parse_hrep
 from test_double_description import INSTANCES, lifted_systems
 

@@ -1,9 +1,11 @@
 """Every demo runs to completion as a script and prints something, the
-lines demos print from their checks stay as they are, and every python
-example of README.md runs as written."""
+lines demos print from their checks stay as they are, a demo whose reader
+closes stdout ends quietly, and every python example of README.md runs as
+written."""
 
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +59,20 @@ def test_demo_runs(demo):
     assert result.stdout.strip()
     for block in DEMO_LINES.get(demo.stem, ()):
         assert block in result.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_ends_quietly_on_a_closed_stdout(demo):
+    # Killed by SIGPIPE, as li2poly exits on a closed pipe: no traceback.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, str(demo)], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, env=ENV, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.returncode == -signal.SIGPIPE, result.stderr
+    assert result.stderr == ""
 
 
 @pytest.mark.parametrize("example", README_EXAMPLES,

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import (RANDOM, SMALL, outcome, permuted, square_pyramid,
                       two_variable_systems, unit_square)
 from li2poly import constructors, faces, formulas
-from li2poly.errors import InputError, NonPointedError
+from li2poly.faces import NonPointedError
 from li2poly.model import Constraint, HPolytope, parse_hrep
 from fraction_linalg import vertex_points
 from gale_evenness import gale_evenness_facet_count
@@ -138,7 +138,7 @@ def lifted_systems(draw) -> HPolytope:
 @given(lifted_systems())
 def test_kernel_reports_emptiness_before_lineality(p):
     if feasible_point(p) is None:
-        error, message = InputError, "^polyhedron is empty$"
+        error, message = ValueError, "^polyhedron is empty$"
     else:
         error, message = NonPointedError, ("^row rank below the ambient dimension: "
                                            "nonzero lineality space$")

@@ -10,7 +10,7 @@ from fraction_linalg import vertex_points
 from conftest import (RANDOM, cached_f_vector, collect_lattice, permuted,
                       square_pyramid, two_variable_systems, unit_square)
 from li2poly import constructors, faces, formulas, hvector
-from li2poly.errors import InputError, NonPointedError
+from li2poly.faces import NonPointedError
 from li2poly.model import HPolytope, parse_hrep
 from test_double_description import REDUNDANCY
 
@@ -129,7 +129,7 @@ def test_edge_graph_pstar_8_4_regular():
 
 
 def test_edge_graph_rejects_unbounded():
-    with pytest.raises(InputError, match=r"^edge graph requires a bounded polytope$"):
+    with pytest.raises(ValueError, match=r"^edge graph requires a bounded polytope$"):
         faces.Analysis(constructors.pstar(7, 3)).edge_graph
 
 
@@ -154,14 +154,14 @@ def test_facet_adjacency_rejects_lower_dimensional():
     flat = parse_hrep("6 3\n1 0 0 1\n-1 0 0 0\n0 1 0 1\n0 -1 0 0\n"
                       "0 0 1 0\n0 0 -1 0")
     assert faces.Analysis(flat).redundant == frozenset()
-    with pytest.raises(InputError, match=r"^the polytope is not full-dimensional in R\^3; "
+    with pytest.raises(ValueError, match=r"^the polytope is not full-dimensional in R\^3; "
                        "adjacency counts need rows in bijection with facets$"):
         faces.Analysis(flat).facet_adjacency_count
 
 
 def test_facet_adjacency_rejects_redundant(square):
     dup = HPolytope(2, square.constraints + (square.constraints[0],))
-    with pytest.raises(InputError, match=r"^rows \[4\] are redundant; adjacency counts "
+    with pytest.raises(ValueError, match=r"^rows \[4\] are redundant; adjacency counts "
                        "need a nonredundant system$"):
         faces.Analysis(dup).facet_adjacency_count
 
@@ -183,7 +183,7 @@ def test_caps_reject_oversized_input(monkeypatch):
     big = constructors.dual_cyclic(25, 2)
     assert faces.Analysis(big).f_vector == (25, 25, 1)
     assert faces.Analysis(big, max_work=1325).f_vector == (25, 25, 1)
-    with pytest.raises(InputError, match=r"^n=25, d=2: the Upper Bound Theorem allows 53 "
+    with pytest.raises(ValueError, match=r"^n=25, d=2: the Upper Bound Theorem allows 53 "
                        r"faces; work 25 \* 53 = 1325 exceeds max_work=1324$"):
         faces.Analysis(big, max_work=1324)
     # The 3-cube's 6 rows allow f(c*(7,3)) = (10, 15, 7, 1): 6 * 33 = 198.
@@ -192,7 +192,7 @@ def test_caps_reject_oversized_input(monkeypatch):
     assert faces.Analysis(cube, max_work=198).f_vector == (8, 12, 6, 1)
     monkeypatch.setattr(faces, "enumerate_vertices", lambda p: pytest.fail("ran"))
     monkeypatch.setattr(faces, "face_lattice", lambda a: pytest.fail("ran"))
-    with pytest.raises(InputError, match=r"^n=6, d=3: the Upper Bound Theorem allows 33 "
+    with pytest.raises(ValueError, match=r"^n=6, d=3: the Upper Bound Theorem allows 33 "
                        r"faces; work 6 \* 33 = 198 exceeds max_work=197$"):
         faces.Analysis(cube, max_work=197).f_vector
 
@@ -216,7 +216,7 @@ def test_caps_apply_one_rule():
                         message = (f"n={n}, d={d}: the Upper Bound Theorem allows "
                                    f"{total} faces; work {size} * {total} = "
                                    f"{size * total} exceeds max_work={budget}")
-                    with pytest.raises(InputError) as exc:
+                    with pytest.raises(ValueError) as exc:
                         faces.check_caps(n, d, budget)
                     assert str(exc.value) == message
                 else:

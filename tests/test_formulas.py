@@ -71,6 +71,9 @@ def test_fk_pstar_divisibility():
                                          r"of n-1 = 11 when d is odd$"):
         fk_pstar(12, 7, 0)
 
+    with pytest.raises(ValueError, match=r"^need 0 <= k <= d, got d=4 k=5$"):
+        fk_pstar(8, 4, 5)
+
 
 def test_fk_pstar_euler_relation_even_grid():
     for d in (2, 4, 6):

@@ -24,7 +24,7 @@ from li2poly import constructors, model
 from li2poly.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-INPUTS = {  # file name -> H-representation, written to the working directory
+INPUTS = {  # file name -> H-representation text or bytes, written to the working directory
     "pstar_8_4.hrep": model.serialize_hrep(constructors.pstar(8, 4)),
     "dual_cyclic_24_6.hrep": model.serialize_hrep(constructors.dual_cyclic(24, 6)),
     "strip.hrep": "2 2\n1 0 0\n-1 0 0\n",
@@ -33,6 +33,10 @@ INPUTS = {  # file name -> H-representation, written to the working directory
     "empty.hrep": "2 1\n1 -2\n-1 1\n",
     "square_pyramid.hrep": "5 3\n0 0 -1 0\n1 0 1 1\n-1 0 1 1\n0 1 1 1\n0 -1 1 1\n",
     "pstar_7_3.hrep": model.serialize_hrep(constructors.pstar(7, 3)),
+    "prism3_4.hrep": "# family: prism3 n=4 d=3\n4 3\n1 0 0 1\n-1 0 0 0\n0 1 0 1\n0 0 1 1\n",
+    "polygon_2.hrep": "# family: polygon n=2 d=2\n2 2\n1 0 1\n0 1 1\n",
+    "not_utf8.hrep": b"\xff\xfe",
+    "comment_only.hrep": "# no header follows\n\n",
 }
 RATIO = ["report", "ratio", "--d", "4", "--k", "0", "--n-start", "8",
          "--n-end", "16", "--step", "4"]
@@ -82,15 +86,35 @@ CASES = {  # golden file stem -> (argv, exit code)
                                 "--seed", "0"], 3),
     "hvector_pstar_7_3": (["hvector", "--in", "pstar_7_3.hrep", "--seed", "0"], 3),
     "verify_pstar_2000_1000": (["verify", "pstar", "--n", "2000", "--d", "1000"], 3),
+    "usage_report_ratio_empty_range": (["report", "ratio", "--d", "4", "--k", "0",
+                                        "--n-start", "12", "--n-end", "8",
+                                        "--step", "4"], 2),
+    "fvector_formula_prism3_4": (["fvector", "--in", "prism3_4.hrep", "--method",
+                                  "formula"], 3),
+    "fvector_formula_polygon_2": (["fvector", "--in", "polygon_2.hrep", "--method",
+                                   "formula"], 3),
+    "construct_dualcyclic_3_1": (["construct", "dualcyclic", "--n", "3", "--d", "1"], 3),
+    "verify_pstar_3_1": (["verify", "pstar", "--n", "3", "--d", "1"], 3),
+    "fvector_not_utf8": (["fvector", "--in", "not_utf8.hrep", "--method",
+                          "enumerate"], 3),
+    "fvector_comment_only": (["fvector", "--in", "comment_only.hrep", "--method",
+                              "enumerate"], 3),
 }
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     folder = tmp_path_factory.mktemp("inputs")
-    for name, text in INPUTS.items():
-        (folder / name).write_text(text, encoding="utf-8")
+    _write_inputs(folder)
     return folder
+
+
+def _write_inputs(folder) -> None:
+    for name, content in INPUTS.items():
+        if isinstance(content, bytes):
+            Path(folder, name).write_bytes(content)
+        else:
+            Path(folder, name).write_text(content, encoding="utf-8")
 
 
 def _golden(name: str, stream: str = "out") -> Path:
@@ -124,8 +148,7 @@ def _rewrite() -> None:
     """Write every golden file from the code as it stands."""
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as folder:
-        for name, text in INPUTS.items():
-            Path(folder, name).write_text(text, encoding="utf-8")
+        _write_inputs(folder)
         here = os.getcwd()
         os.chdir(folder)
         for name, (argv, code) in CASES.items():

@@ -23,7 +23,7 @@ from li2poly import constructors, faces, formulas, hvector, model
 from li2poly.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
-ABSENT_MODULES = ("simplex", "geometry", "ratlin")
+ABSENT_MODULES = ("simplex", "geometry", "ratlin", "errors")
 
 
 def test_every_subcommand_runs_without_the_lp_modules(tmp_path, capsys):
@@ -83,30 +83,31 @@ def test_queries_have_one_handle_over_integer_generators():
 
 RETIRED_ERRORS = ("LI2PolyError", "DivisibilityError", "InfeasibleError",
                   "UnboundedInputError", "RedundantInputError", "NotSimpleError",
-                  "CapExceededError", "GenericObjectiveError")
+                  "CapExceededError", "GenericObjectiveError", "InputError",
+                  "HRepParseError")
 
 
 def test_an_error_type_is_one_that_some_caller_tells_apart():
-    # Every rejected input is a ValueError, one exit code in the CLI. A
-    # subclass stays only while src/ raises or catches it by name.
-    from li2poly import errors
-    defined = sorted(name for name, value in vars(errors).items()
-                     if isinstance(value, type) and value.__module__ == errors.__name__)
-    assert defined == ["HRepParseError", "InputError", "NonPointedError"]
-    assert issubclass(errors.InputError, ValueError)
-    assert all(issubclass(getattr(errors, name), errors.InputError) for name in defined)
-    named = set()
-    for path in (ROOT / "src" / "li2poly").glob("*.py"):
+    # Every rejected input is a plain ValueError, one exit code in the CLI.
+    # A subclass stays only while some code in src/ catches it by name.
+    defined, caught, modules = [], set(), []
+    for path in sorted((ROOT / "src" / "li2poly").glob("*.py")):
+        module = importlib.import_module(
+            "li2poly" if path.stem == "__init__" else f"li2poly.{path.stem}")
+        modules.append(module)
+        defined += [f"{path.stem}.{name}" for name, value in vars(module).items()
+                    if isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__]
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                named |= {exc.id} if isinstance(exc, ast.Name) else set()
-            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-                named |= {t.id for t in types if isinstance(t, ast.Name)}
-    assert set(defined) <= named, set(defined) - named
+                caught |= {t.id for t in types if isinstance(t, ast.Name)}
+    assert defined == ["cli.UsageError", "faces.NonPointedError"]
+    assert issubclass(faces.NonPointedError, ValueError)
+    uncaught = [name for name in defined if name.split(".")[1] not in caught]
+    assert not uncaught, uncaught
     for name in RETIRED_ERRORS:
-        assert not hasattr(errors, name) and not hasattr(li2poly, name), name
+        assert not any(hasattr(module, name) for module in modules), name
 
 
 def test_lazy_exports_keep_the_public_surface():
@@ -201,7 +202,7 @@ def test_cli_keeps_its_module_level_imports():
             names += ([f"{'.' * node.level}{node.module}"] if node.module else
                       [f"{'.' * node.level}{alias.name}" for alias in node.names])
     assert names == ["__future__", "argparse", "json", "sys", "time", ".faces",
-                     ".model", ".errors"]
+                     ".model"]
 
 
 def test_importing_the_package_loads_no_module():
@@ -209,9 +210,8 @@ def test_importing_the_package_loads_no_module():
 
 
 @pytest.mark.parametrize("module, loaded", [
-    ("faces", ["li2poly", "li2poly.errors", "li2poly.faces", "li2poly.model"]),
-    ("hvector", ["li2poly", "li2poly.errors", "li2poly.faces", "li2poly.hvector",
-                 "li2poly.model"]),
+    ("faces", ["li2poly", "li2poly.faces", "li2poly.model"]),
+    ("hvector", ["li2poly", "li2poly.faces", "li2poly.hvector", "li2poly.model"]),
 ], ids=["faces", "hvector"])
 def test_the_enumerator_loads_no_formula(module, loaded):
     # The work cap and the h comparison read McMullen's h-vector in faces,
