@@ -369,7 +369,7 @@ def run(argv) -> int:
         # Loaded after argparse's first parser and its gettext state, verify's
         # modules raised its peak RSS by 0.12 MiB with bytecode caching off.
         from . import constructors, formulas, hvector  # noqa: F401
-    import gc
+    import gc  # main() froze the start-up heap; run() must not, as it also runs in-process
     gc.collect()  # the command's work reuses the memory of the import garbage
     try:
         args = build_parser().parse_args(argv)
@@ -391,6 +391,8 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    import gc
+    gc.freeze()  # one process, one command: what lives now lives until exit, unwalked
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()

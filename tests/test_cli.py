@@ -1,5 +1,6 @@
 """Command line behavior: output schemas, exit codes, determinism."""
 
+import gc
 import importlib
 import json
 import os
@@ -74,6 +75,24 @@ def test_the_parser_is_collected_before_the_command_runs(monkeypatch):
     monkeypatch.setattr(cli, "cmd_report_bounds", lambda args: seen.append(built[0]()) or 0)
     assert run(["report", "bounds", "--n", "12", "--n-prime", "12", "--d", "6"]) == 0
     assert len(built) == 1 and seen == [None]
+
+
+def test_main_freezes_the_start_up_heap_and_run_does_not(monkeypatch, capsys):
+    # A process runs one command, so main() freezes what is alive before it;
+    # run() is also called in-process, where a freeze would keep dead objects.
+    frozen = []
+    monkeypatch.setattr(sys, "argv", ["li2poly"])
+    monkeypatch.setattr(cli, "run", lambda argv: frozen.append(gc.get_freeze_count() > 0) or 0)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+    finally:
+        gc.unfreeze()
+    assert exc.value.code == 0 and frozen == [True]
+    monkeypatch.undo()
+    assert run(["report", "bounds", "--n", "12", "--n-prime", "12", "--d", "6"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == 0
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,7 +1,8 @@
 """The CLI's output byte for byte: each invocation's stdout, stderr and exit
 code are compared with files under tests/golden/ (`<stem>.out`, and
 `<stem>.err` where stderr is not empty), and a timed document ends with its
-timing block. The failing cases are the package's own error lines;
+timing block. Three cases also run as a process of their own, through
+`main()`. The failing cases are the package's own error lines;
 argparse's messages and `--help` are left out, because their wording varies
 across Python versions.
 
@@ -14,6 +15,8 @@ root with
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -130,6 +133,19 @@ def test_output_matches_golden(inputs, monkeypatch, capsys, name):
     assert captured.out == _golden(name).read_text(encoding="utf-8")
     err = _golden(name, "err")
     assert captured.err == (err.read_text(encoding="utf-8") if err.exists() else "")
+
+
+@pytest.mark.parametrize("name", ["verify_pstar_12_6", "fvector_over_cap",
+                                  "usage_fvector_max_work_0"])
+def test_a_process_prints_the_golden_bytes(inputs, name):
+    argv, code = CASES[name]
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "li2poly.cli", *argv], capture_output=True,
+                          env=env, cwd=inputs, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout == _golden(name).read_bytes()
+    err = _golden(name, "err")
+    assert proc.stderr == (err.read_bytes() if err.exists() else b"")
 
 
 @pytest.mark.parametrize("name", ["fvector_enumerate", "hvector_repeat_3",
