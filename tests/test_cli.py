@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from li2poly import cli, constructors, faces, hvector
+from li2poly import cli, constructors, faces, formulas, hvector, model
 from li2poly.cli import run
 from li2poly.model import parse_hrep
 from lp_geometry import redundant_constraints as lp_redundant_constraints
@@ -209,6 +210,24 @@ def test_verify_notes_a_vacuous_ridge_bound(capsys):
                                   "--json", "--no-timing"])
     assert code == 0 and doc["checks"]["lemma41"] is True
     assert doc["notes"] == ["lemma41: vacuous: bound is at least C(n,2)"]
+
+
+def test_verify_refuses_a_redundant_row_for_the_ridge_bound(monkeypatch, capsys):
+    # x_1 <= 1000 is tight at no vertex: the input stays simple, its f-vector
+    # is pstar(8,4)'s, and Lemma 4.1, which bounds a nonredundant system's
+    # ridges, does not apply.
+    def build(n, d):
+        p = constructors.pstar(n, d)
+        far = model.Constraint((Fraction(1),) + (Fraction(0),) * (d - 1), Fraction(1000))
+        return model.HPolytope(d, p.constraints + (far,), p.family)
+
+    monkeypatch.setitem(constructors.FAMILIES, "pstar", constructors.Family(
+        build, lambda n, d: formulas.pstar_f_vector(n - 1, d)))
+    assert run(["verify", "pstar", "--n", "8", "--d", "4", "--json", "--no-timing"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: rows [8] are redundant; adjacency counts need a "
+                            "nonredundant system\n")
 
 
 @pytest.mark.parametrize("offsets", [(1, 1, 1), (0, 1, 2)],
@@ -524,7 +543,7 @@ def test_internal_error_exits_4(monkeypatch, capsys, tmp_path, module, attr):
         raise AssertionError(f"invariant broken in {module}\nsecond line")
 
     argv = ["verify", "prism3", "--n", "6", "--json", "--no-timing"]
-    if attr == "redundant_rows":  # verify never reads redundancy; profile does
+    if attr == "redundant_rows":  # verify reads it only at d >= 4; profile always does
         path = str(tmp_path / "prism.hrep")
         assert run(["construct", "prism3", "--n", "6", "--out", path]) == 0
         argv = ["profile", "--in", path]

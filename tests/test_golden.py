@@ -1,10 +1,10 @@
 """The CLI's output byte for byte: each invocation's stdout, stderr and exit
 code are compared with files under tests/golden/ (`<stem>.out`, and
 `<stem>.err` where stderr is not empty), and a timed document ends with its
-timing block. Three cases also run as a process of their own, through
-`main()`. The failing cases are the package's own error lines;
-argparse's messages and `--help` are left out, because their wording varies
-across Python versions.
+timing block. Seven cases, five of them verify's, also run as a process of
+their own, through `main()`. The failing cases are the package's own error
+lines; argparse's messages and `--help` are left out, because their wording
+varies across Python versions.
 
 After an intended change of output, rewrite the files from the repository
 root with
@@ -135,7 +135,9 @@ def test_output_matches_golden(inputs, monkeypatch, capsys, name):
     assert captured.err == (err.read_text(encoding="utf-8") if err.exists() else "")
 
 
-@pytest.mark.parametrize("name", ["verify_pstar_12_6", "fvector_over_cap",
+@pytest.mark.parametrize("name", ["verify_pstar_12_6", "verify_pstar_13_7",
+                                  "verify_dualcyclic_9_5", "verify_pstar_6_4",
+                                  "verify_pstar_2000_1000", "fvector_over_cap",
                                   "usage_fvector_max_work_0"])
 def test_a_process_prints_the_golden_bytes(inputs, name):
     argv, code = CASES[name]

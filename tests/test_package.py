@@ -124,19 +124,18 @@ def test_lazy_exports_keep_the_public_surface():
         li2poly.simplex
 
 
-def _imports(argv, cwd) -> tuple[int, list[str]]:
-    """Exit code and imported modules of a command, in the order their
-    imports finished, from -X importtime.
+def _imports(argv, cwd) -> tuple[int, set[str]]:
+    """Exit code and imported modules of a command, from -X importtime.
 
-    -S keeps the site's imports out of the list: only the package's count.
+    -S keeps the site's imports out of the set: only the package's count.
     """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "li2poly.cli", *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
-    return result.returncode, [line.rsplit("|", 1)[1].strip()
+    return result.returncode, {line.rsplit("|", 1)[1].strip()
                                for line in result.stderr.splitlines()
-                               if line.startswith("import time:")]
+                               if line.startswith("import time:")}
 
 
 def test_commands_import_only_what_they_run(tmp_path):
@@ -158,8 +157,7 @@ def test_commands_import_only_what_they_run(tmp_path):
         ("verify", "pstar", "--n", "8", "--d", "4", "--json"): (0, {hv, cons, fm}),
     }
     for argv, (code, runs) in expected.items():
-        exit_code, order = _imports(argv, tmp_path)
-        modules = set(order)
+        exit_code, modules = _imports(argv, tmp_path)
         assert "li2poly.faces" in modules, argv  # the list is read at all
         assert not {"dataclasses", "inspect"} & modules, argv
         assert (exit_code, modules & {hv, cons, fm}) == (code, runs), argv
@@ -175,16 +173,6 @@ def _loaded(module: str) -> str:
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
-
-
-def test_verify_loads_its_modules_before_the_parser(tmp_path):
-    # argparse's first parser imports locale through gettext; cli.run loads
-    # verify's modules before that, which keeps verify's peak RSS down.
-    code, order = _imports(["verify", "pstar", "--n", "8", "--d", "4", "--json"],
-                           tmp_path)
-    assert code == 0
-    assert max(order.index(f"li2poly.{name}") for name in
-               ("constructors", "formulas", "hvector")) < order.index("locale")
 
 
 def test_cli_keeps_its_module_level_imports():
