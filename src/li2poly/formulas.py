@@ -81,8 +81,8 @@ def fk_pstar(n: int, d: int, k: int) -> int:
         sum_r C(d/2, r) C(d/2 - r, d-k-2r) (n/(d/2))^(d-k-r),
 
     with the zero-binomial convention trimming r to its valid range. Odd d
-    recurses: f_k = f_{k-1} + f_k of the even base on (n-1, d-1), with
-    f_0 from the vertex-count formula and f_d = 1. For odd d the counts
+    recurses: f_k = f_{k-1} + f_k of the even base on (n-1, d-1), where a
+    term outside the base's range 0..d-1 counts zero. For odd d the counts
     include the unbounded faces of the pointed polyhedron.
     """
     if not (0 <= k <= d):
@@ -94,11 +94,7 @@ def fk_pstar(n: int, d: int, k: int) -> int:
         for r in range(max(0, half - k), half - k // 2 + 1):
             total += binom(half, r) * binom(half - r, d - k - 2 * r) * m ** (d - k - r)
         return total
-    if k == d:
-        return 1
-    if k == 0:
-        return m ** (d // 2)
-    return fk_pstar(n - 1, d - 1, k - 1) + fk_pstar(n - 1, d - 1, k)
+    return sum(fk_pstar(n - 1, d - 1, j) for j in (k - 1, k) if 0 <= j < d)
 
 
 def pstar_f_vector(n: int, d: int) -> tuple[int, ...]:
@@ -137,16 +133,6 @@ def lemma41_bound(n: int, n_prime: int, d: int) -> Fraction:
     return binom(n, 2) - two_variable_deficit(n_prime, d)
 
 
-def _check_thm42_args(n: int, n_prime: int, d: int, k: int) -> None:
-    """The range both readings of Theorem 4.2 assume."""
-    if d < 4:
-        raise ValueError("the separation bound assumes d >= 4")
-    if k > d - 2:
-        raise ValueError("the separation bound applies for k <= d-2")
-    if not (0 <= n_prime <= n):
-        raise ValueError("need 0 <= n_prime <= n")
-
-
 def thm42_bound(n: int, n_prime: int, d: int, k: int) -> Fraction:
     """f_k(c*(n,d)) - C(d-2,k) * D with the deficit D of two_variable_deficit.
 
@@ -156,20 +142,22 @@ def thm42_bound(n: int, n_prime: int, d: int, k: int) -> Fraction:
     thm42_bound_literal for the displayed variant with the opposite sign
     on n'.
     """
-    _check_thm42_args(n, n_prime, d, k)
+    if d < 4:
+        raise ValueError("the separation bound assumes d >= 4")
+    if k > d - 2:
+        raise ValueError("the separation bound applies for k <= d-2")
+    if not (0 <= n_prime <= n):
+        raise ValueError("need 0 <= n_prime <= n")
     return fk_dual_cyclic(n, d, k) - binom(d - 2, k) * two_variable_deficit(n_prime, d)
 
 
 def thm42_bound_literal(n: int, n_prime: int, d: int, k: int) -> Fraction:
     """The displayed variant f_k(c*) - C(d-2,k)*(C(n',2)/C(d,2) + n').
 
-    That is f_k(c*) - C(d-2,k)*(D + 2n'), D = two_variable_deficit. Kept
-    for reporting: its inner sign disagrees with the ridge bound and with
-    the chain of inequalities that certifies thm42_bound.
+    Kept for reporting: its inner sign disagrees with the ridge bound and
+    with the chain of inequalities that certifies thm42_bound.
     """
-    _check_thm42_args(n, n_prime, d, k)
-    return (fk_dual_cyclic(n, d, k)
-            - binom(d - 2, k) * (two_variable_deficit(n_prime, d) + 2 * n_prime))
+    return thm42_bound(n, n_prime, d, k) - 2 * n_prime * binom(d - 2, k)
 
 
 def ratio_limit(d: int, k: int) -> Fraction:

@@ -1,6 +1,7 @@
 """Shared instances, random systems and cached heavy computations for the
 test suite."""
 
+import gc
 from fractions import Fraction
 from functools import cache
 
@@ -134,6 +135,15 @@ def outcome(thunk) -> tuple:
 def permuted(p: HPolytope, order) -> HPolytope:
     """p with its rows in the given order; family metadata is dropped."""
     return HPolytope(p.dim, tuple(p.constraints[i] for i in order))
+
+
+def pytest_collection_finish(session):
+    # Every in-process cli.run makes two full collections; freezing the
+    # collected session (modules, test items, hypothesis state) moves it to
+    # the permanent generation, so those collections walk only what the
+    # tests allocate, as they walk only the command's work under cli.main.
+    gc.collect()
+    gc.freeze()
 
 
 @pytest.fixture

@@ -84,6 +84,9 @@ def test_main_freezes_the_start_up_heap_and_run_does_not(monkeypatch, capsys):
     frozen = []
     monkeypatch.setattr(sys, "argv", ["li2poly"])
     monkeypatch.setattr(cli, "run", lambda argv: frozen.append(gc.get_freeze_count() > 0) or 0)
+    # conftest freezes the session heap; start unfrozen so that only main()
+    # can freeze what the stub sees, and restore the session's freeze at the end.
+    gc.unfreeze()
     try:
         with pytest.raises(SystemExit) as exc:
             cli.main()
@@ -94,6 +97,7 @@ def test_main_freezes_the_start_up_heap_and_run_does_not(monkeypatch, capsys):
     assert run(["report", "bounds", "--n", "12", "--n-prime", "12", "--d", "6"]) == 0
     capsys.readouterr()
     assert gc.get_freeze_count() == 0
+    gc.freeze()
 
 
 def test_usage_errors_exit_2(capsys):
@@ -555,3 +559,18 @@ def test_internal_error_exits_4(monkeypatch, capsys, tmp_path, module, attr):
     assert captured.out == ""
     assert captured.err == (f"internal error: invariant broken in {module} "
                             "second line\n")
+
+
+def test_a_two_sum_that_misses_c_n_d_minus_k_exits_4(monkeypatch, capsys):
+    # The two-sum of c*(10,4) at k = 2 is 45 and reads no C(10,2), so a C(10,2)
+    # one above it breaks the collapse check that verify's formula stage runs.
+    real = formulas.binom
+    monkeypatch.setattr(formulas, "binom", lambda a, b: real(a, b) + ((a, b) == (10, 2)))
+    message = "two-sum formula disagrees with C(n, d-k)"
+    with pytest.raises(AssertionError) as exc:
+        formulas.fk_dual_cyclic(10, 4, 2)
+    assert str(exc.value) == message
+    assert run(["verify", "dualcyclic", "--n", "10", "--d", "4", "--json",
+                "--no-timing"]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"internal error: {message}\n")
